@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"time"
@@ -261,7 +262,9 @@ func (c *Cluster) antiEntropyLoop(ctx context.Context) {
 // errors is skipped without marking (the prober owns liveness verdicts; a
 // half-warm pass must not condemn anyone).
 func (c *Cluster) antiEntropy(ctx context.Context) {
-	for _, peer := range c.pickPeers(len(c.members), func(m *member) bool { return m.state == PeerUp }) {
+	// Every up peer: pickPeers reads the membership under c.mu, so no count
+	// of it is taken out here, where Merge may be growing the map.
+	for _, peer := range c.pickPeers(math.MaxInt, func(m *member) bool { return m.state == PeerUp }) {
 		if ctx.Err() != nil {
 			return
 		}

@@ -290,3 +290,29 @@ func TestFetchLimitBounds(t *testing.T) {
 		t.Fatalf("peer state after over-limit = %s, want up", st)
 	}
 }
+
+// TestAntiEntropyConcurrentWithMerge runs warmth passes while gossip grows
+// the membership: under -race, any read of the member map outside c.mu is
+// reported. The discovered members are down, so no pass ever contacts them.
+func TestAntiEntropyConcurrentWithMerge(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"keys":[]}`))
+	}))
+	defer ts.Close()
+	c := mustNew(t, Options{Self: "http://self.invalid:1", Peers: []string{ts.URL}})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			c.antiEntropy(context.Background())
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		c.Merge([]Member{{Addr: fmt.Sprintf("http://m%d.invalid:1", i), Incarnation: 1, State: PeerDown}})
+	}
+	<-done
+	if n := len(c.GossipView().Members); n != 202 {
+		t.Fatalf("membership has %d records, want 202", n)
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"waitfree/internal/model"
 	"waitfree/internal/solver"
-	"waitfree/internal/topology"
 )
 
 // Cost estimation: the admission controller's closed-form model of how much
@@ -63,46 +62,16 @@ func chainCostModel(facets int64, m, maxLevel int, spec model.Spec) int64 {
 	if err != nil {
 		return CostUnbounded
 	}
+	if branch == 1 { // every level repeats the base: no need to walk them
+		return satMul(facets, satAdd(int64(maxLevel), 1))
+	}
 	var total, level int64 = 0, facets
-	for b := 0; b <= maxLevel; b++ {
+	// Stop once the sum saturates, so a hostile level costs no loop either.
+	for b := 0; b <= maxLevel && total < CostUnbounded; b++ {
 		total = satAdd(total, level)
 		level = satMul(level, int64(branch))
 	}
 	return total
-}
-
-// complexChainCost sums chainCostModel per facet of c (facet sizes can
-// differ in non-pure input complexes).
-func complexChainCost(c *topology.Complex, maxLevel int, spec model.Spec) int64 {
-	var total int64
-	for _, f := range c.Facets() {
-		total = satAdd(total, chainCostModel(1, len(f), maxLevel, spec))
-	}
-	return total
-}
-
-// EstimateCost returns the Lemma 3.3 facet-count estimate for a solve query:
-// the total facets of the (restricted) subdivision chain over the task's
-// input complex through MaxLevel. Invalid specs — the task's or the
-// model's — return the same ErrInvalid the engine would, so the serving
-// layer's admission pass rejects an unknown model with 400 before the
-// request key is ever derived or looked up.
-func (r SolveRequest) EstimateCost() (int64, error) {
-	if r.MaxLevel < 0 || r.MaxLevel > MaxSolveLevel {
-		return 0, fmt.Errorf("%w: max_level=%d out of range [0,%d]", ErrInvalid, r.MaxLevel, MaxSolveLevel)
-	}
-	task, err := r.Spec.Build()
-	if err != nil {
-		return 0, err
-	}
-	spec, err := model.Parse(r.Model)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if err := spec.Validate(len(task.Inputs.Colors())); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	return complexChainCost(task.Inputs, r.MaxLevel, spec), nil
 }
 
 // EstimateCost returns the facet-count estimate for a complex query: the
@@ -135,27 +104,11 @@ func (r AdversaryRequest) EstimateCost() (int64, error) {
 	return satMul(int64(r.Procs)+1, steps), nil
 }
 
-// Repricing: the facet-count model above prices the subdivision a query
-// materializes, but the search on top of it got much cheaper in PR 8 — the
-// structured solver decides many levels (the whole consensus family among
-// them) with zero backtracking nodes where the exhaustive search burned
-// thousands. The engine therefore keeps an EWMA of observed search nodes
-// per subdivision facet and exposes CalibratedSolveCost, a facet estimate
-// rescaled by that prior. The admission controller deliberately still
-// gates on EstimateCost — facets are the memory bound and the worst case,
-// and the pinned cost-model tests stay exact — but operators tuning
-// budgets, and any future adaptive controller, read the calibrated number.
-
-// nodesPerFacetAlpha is the EWMA smoothing factor: ~20 solves of memory,
-// enough to track a workload shift without letting one pathological query
-// dominate the prior.
-const nodesPerFacetAlpha = 0.05
-
-// recordSolve feeds one level's search result into the solver metrics and
-// the nodes-per-facet prior. Called for every level the engine searches,
-// including levels that ended in ErrBudget/ErrCanceled (their partial node
-// counts are real work; res is non-nil even on error).
-func (e *Engine) recordSolve(res *solver.Result, sub *topology.Complex) {
+// recordSolve feeds one level's search result into the solver metrics.
+// Called for every level the engine searches, including levels that ended
+// in ErrBudget/ErrCanceled (their partial node counts are real work; res is
+// non-nil even on error).
+func (e *Engine) recordSolve(res *solver.Result) {
 	if res == nil {
 		return
 	}
@@ -166,51 +119,4 @@ func (e *Engine) recordSolve(res *solver.Result, sub *topology.Complex) {
 	if res.Stats.CollapseFallback {
 		e.metrics.Inc("solver_collapse_fallbacks_total")
 	}
-	facets := len(sub.Facets())
-	if facets == 0 {
-		return
-	}
-	obs := float64(res.Nodes) / float64(facets)
-	e.priorMu.Lock()
-	if e.priorSet {
-		e.prior = (1-nodesPerFacetAlpha)*e.prior + nodesPerFacetAlpha*obs
-	} else {
-		e.prior, e.priorSet = obs, true
-	}
-	e.priorMu.Unlock()
-}
-
-// NodesPerFacetPrior returns the engine's current EWMA of search nodes per
-// subdivision facet and whether any solve has been observed yet. A set,
-// zero prior is meaningful: the structured solver decides entire task
-// families (consensus among them) purely by propagation, with zero
-// backtracking nodes.
-func (e *Engine) NodesPerFacetPrior() (float64, bool) {
-	e.priorMu.Lock()
-	defer e.priorMu.Unlock()
-	return e.prior, e.priorSet
-}
-
-// CalibratedSolveCost is the repriced solve estimate: the Lemma 3.3 facet
-// count scaled by the observed nodes-per-facet prior. Before any solve has
-// been observed it returns the raw facet estimate — the model's worst-case
-// stance. The result saturates at CostUnbounded like every cost in this
-// file.
-func (e *Engine) CalibratedSolveCost(r SolveRequest) (int64, error) {
-	base, err := r.EstimateCost()
-	if err != nil {
-		return 0, err
-	}
-	prior, set := e.NodesPerFacetPrior()
-	if !set || base == CostUnbounded {
-		return base, nil
-	}
-	scaled := float64(base) * prior
-	if scaled >= float64(CostUnbounded) {
-		return CostUnbounded, nil
-	}
-	if scaled < 1 {
-		return 1, nil // admission still charges something per query
-	}
-	return int64(scaled), nil
 }

@@ -34,21 +34,21 @@ func TestComplexCostMatchesGoldenTable(t *testing.T) {
 // the estimate sound.
 func TestSolveCostTracksActualFacets(t *testing.T) {
 	req := SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 2}, MaxLevel: 1}
-	cost, err := req.EstimateCost()
+	e := New(Options{})
+	q, err := e.PrepareSolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{})
 	resp, err := e.Solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// cost = Σ levels; the deepest level alone is cost − cost(maxLevel−1).
-	shallow, err := SolveRequest{Spec: req.Spec, MaxLevel: 0}.EstimateCost()
+	shallow, err := e.PrepareSolve(SolveRequest{Spec: req.Spec, MaxLevel: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deepest := cost - shallow; deepest != int64(resp.SubdivisionFacets) {
+	if deepest := q.Cost - shallow.Cost; deepest != int64(resp.SubdivisionFacets) {
 		t.Errorf("estimate's deepest level = %d facets, engine materialized %d", deepest, resp.SubdivisionFacets)
 	}
 }
@@ -56,7 +56,7 @@ func TestSolveCostTracksActualFacets(t *testing.T) {
 // TestCostInvalidSpec: estimation validates like the engine — an unknown
 // family is ErrInvalid, never a panic or a zero estimate admitted for free.
 func TestCostInvalidSpec(t *testing.T) {
-	_, err := (SolveRequest{Spec: TaskSpec{Family: "nonsense"}, MaxLevel: 1}).EstimateCost()
+	_, err := New(Options{}).PrepareSolve(SolveRequest{Spec: TaskSpec{Family: "nonsense"}, MaxLevel: 1})
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("got %v, want ErrInvalid", err)
 	}
@@ -70,72 +70,5 @@ func TestCostInvalidSpec(t *testing.T) {
 func TestCostSaturates(t *testing.T) {
 	if got := chainCost(1, 9, 500); got != CostUnbounded {
 		t.Fatalf("chainCost(1, 9, 500) = %d, want CostUnbounded", got)
-	}
-}
-
-// TestCalibratedSolveCost pins the repricing hook: before any solve the
-// calibrated cost IS the facet estimate (worst-case stance); after solving
-// consensus — which the structured solver decides with ZERO search nodes at
-// every level — the prior is a set zero and the calibrated cost collapses
-// to the 1-unit floor; a task that does burn nodes then pulls the prior
-// above zero. EstimateCost itself must not move: admission still gates on
-// the uncalibrated worst case.
-func TestCalibratedSolveCost(t *testing.T) {
-	req := SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 2}, MaxLevel: 2}
-	base, err := req.EstimateCost()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e := New(Options{Workers: 1})
-	if got, err := e.CalibratedSolveCost(req); err != nil || got != base {
-		t.Fatalf("cold calibrated cost = %d, %v; want the raw estimate %d", got, err, base)
-	}
-	if prior, set := e.NodesPerFacetPrior(); set || prior != 0 {
-		t.Fatalf("cold prior = %v (set=%v), want unset 0", prior, set)
-	}
-
-	if _, err := e.Solve(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	prior, set := e.NodesPerFacetPrior()
-	if !set || prior != 0 {
-		t.Fatalf("prior after consensus = %v (set=%v), want a set zero — propagation alone decides every consensus level", prior, set)
-	}
-	if got, err := e.CalibratedSolveCost(req); err != nil || got != 1 {
-		t.Errorf("calibrated cost after zero-node observations = %d, %v; want the 1-unit floor", got, err)
-	}
-	if after, _ := req.EstimateCost(); after != base {
-		t.Errorf("EstimateCost moved from %d to %d — admission must stay on the uncalibrated model", base, after)
-	}
-	m := e.Metrics()
-	if m.Counter("solver_pruned_values_total") <= 0 {
-		t.Errorf("solver_pruned_values_total = %d, want > 0", m.Counter("solver_pruned_values_total"))
-	}
-
-	// Set consensus burns real nodes (its binding constraints are
-	// 2-dimensional, out of AC-3's reach); the prior moves off zero and the
-	// calibrated cost scales accordingly.
-	sc := SolveRequest{Spec: TaskSpec{Family: "set-consensus", Procs: 3, K: 2}, MaxLevel: 1}
-	if _, err := e.Solve(context.Background(), sc); err != nil {
-		t.Fatal(err)
-	}
-	prior, set = e.NodesPerFacetPrior()
-	if !set || prior <= 0 {
-		t.Fatalf("prior after set-consensus = %v (set=%v), want > 0", prior, set)
-	}
-	if m.Counter("solver_nodes_total") <= 0 {
-		t.Errorf("solver_nodes_total = %d, want > 0", m.Counter("solver_nodes_total"))
-	}
-	got, err := e.CalibratedSolveCost(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(float64(base) * prior)
-	if want < 1 {
-		want = 1
-	}
-	if got != want {
-		t.Errorf("calibrated cost = %d, want %d (estimate %d × prior %v)", got, want, base, prior)
 	}
 }

@@ -61,13 +61,9 @@ type Engine struct {
 	workers  int
 	maxNodes int64
 	metrics  *Metrics
-	// prior is the EWMA of observed solver nodes per subdivision facet —
-	// the calibration behind CalibratedSolveCost (cost.go). priorSet
-	// distinguishes "no solve observed yet" from a genuine zero (the
-	// structured solver really does decide whole families with zero nodes).
-	priorMu  sync.Mutex
-	prior    float64
-	priorSet bool
+	// facts memoises, per normalized valid TaskSpec, the specFacts a solve
+	// needs before it knows whether it will compute (query.go).
+	facts sync.Map
 	// peerFill, when set (SetPeerFiller, cluster mode), is consulted on a
 	// cache miss before computing: a non-owned key may already be answered
 	// byte-identically in the owning peer's cache.
@@ -289,27 +285,19 @@ func (e *Engine) modelLevel(ctx context.Context, base *topology.Complex, baseHas
 }
 
 // Solve answers a solvability query, reusing cached subdivision levels and
-// verdicts.
+// verdicts. It is PrepareSolve followed by SolvePrepared.
 func (e *Engine) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
-	if req.MaxLevel < 0 || req.MaxLevel > MaxSolveLevel {
-		return nil, fmt.Errorf("%w: max_level=%d out of range [0,%d]", ErrInvalid, req.MaxLevel, MaxSolveLevel)
-	}
-	if req.MaxNodes < 0 {
-		return nil, fmt.Errorf("%w: max_nodes=%d must be non-negative", ErrInvalid, req.MaxNodes)
-	}
-	task, err := req.Spec.Build() // validate before hashing the query
+	q, err := e.PrepareSolve(req)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := model.Parse(req.Model)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if err := spec.Validate(len(task.Inputs.Colors())); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	e.metrics.Inc("solve_model_" + metricName(spec))
-	v, err := e.do(ctx, "solve", req.Key(), true, func(cctx context.Context) (any, error) { return e.computeSolve(cctx, req, spec) })
+	return e.SolvePrepared(ctx, q)
+}
+
+// SolvePrepared answers a query PrepareSolve returned.
+func (e *Engine) SolvePrepared(ctx context.Context, q *SolveQuery) (*SolveResponse, error) {
+	e.metrics.Inc("solve_model_" + metricName(q.model))
+	v, err := e.do(ctx, "solve", q.Key, true, func(cctx context.Context) (any, error) { return e.computeSolve(cctx, q) })
 	if err != nil {
 		return nil, err
 	}
@@ -328,10 +316,13 @@ func metricName(spec model.Spec) string {
 	return string(out)
 }
 
-func (e *Engine) computeSolve(ctx context.Context, req SolveRequest, spec model.Spec) (*SolveResponse, error) {
-	task, err := req.Spec.Build()
-	if err != nil {
-		return nil, err
+func (e *Engine) computeSolve(ctx context.Context, q *SolveQuery) (*SolveResponse, error) {
+	req, spec, task := q.req, q.model, q.task
+	if task == nil { // the spec's facts were memoised: build on this miss only
+		var err error
+		if task, err = e.build(req.Spec); err != nil {
+			return nil, err
+		}
 	}
 	maxNodes := req.MaxNodes
 	if maxNodes == 0 {
@@ -349,7 +340,7 @@ func (e *Engine) computeSolve(ctx context.Context, req SolveRequest, spec model.
 			return nil, err
 		}
 		res, err := solver.SolveAtLevelOn(ctx, task, b, sub, opts)
-		e.recordSolve(res, sub)
+		e.recordSolve(res)
 		if err != nil {
 			return nil, err // solver.ErrBudget or solver.ErrCanceled, wrapped with level and node count
 		}

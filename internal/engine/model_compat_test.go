@@ -77,8 +77,8 @@ func TestUnknownModelErrInvalid(t *testing.T) {
 			t.Errorf("Solve(model=%q): want ErrInvalid, got %v", m, err)
 		}
 		// The admission path must reject before the key is ever used.
-		if _, err := req.EstimateCost(); !errors.Is(err, ErrInvalid) {
-			t.Errorf("EstimateCost(model=%q): want ErrInvalid, got %v", m, err)
+		if _, err := e.PrepareSolve(req); !errors.Is(err, ErrInvalid) {
+			t.Errorf("PrepareSolve(model=%q): want ErrInvalid, got %v", m, err)
 		}
 	}
 }

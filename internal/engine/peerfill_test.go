@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // fakeFiller is a canned PeerFiller: returns the same (payload, source, err)
@@ -262,5 +264,35 @@ func TestFetchByteLimit(t *testing.T) {
 	}
 	if got := e.FetchByteLimit("conv:n=2:target=1:maxk=3"); got < fetchLimitBase {
 		t.Fatalf("conv limit %d below floor", got)
+	}
+}
+
+// TestFetchByteLimitHostileKeyBoundedHeap: pricing a key whose parameters
+// are absurd allocates next to nothing and returns at once. A peer's
+// inventory reaches this path through anti-entropy, so the parameters are
+// untrusted and must never size an allocation or a loop.
+func TestFetchByteLimitHostileKeyBoundedHeap(t *testing.T) {
+	e := New(Options{})
+	for _, key := range []string{
+		"cx:n=2000000000:b=2000000000",
+		"cx:n=0:b=2000000000",
+		"cx:n=1:b=2000000000",
+		"conv:n=2000000000:target=2000000000:maxk=2000000000",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		limit := e.FetchByteLimit(key)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("FetchByteLimit(%q) allocated %d bytes, want < 1 MiB", key, d)
+		}
+		if elapsed > time.Second {
+			t.Errorf("FetchByteLimit(%q) took %v", key, elapsed)
+		}
+		if limit < fetchLimitBase || limit > fetchLimitMax {
+			t.Errorf("FetchByteLimit(%q) = %d, outside [%d, %d]", key, limit, fetchLimitBase, fetchLimitMax)
+		}
 	}
 }

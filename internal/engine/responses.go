@@ -33,15 +33,21 @@ type SolveRequest struct {
 // pre-model engine, so nothing already cached or spilled is invalidated.
 // Non-wait-free models append their canonical form; a model string that
 // does not parse appends a marked verbatim suffix, so it can never alias
-// the wait-free key (Solve and EstimateCost reject it with ErrInvalid
+// the wait-free key (Solve and PrepareSolve reject it with ErrInvalid
 // before any cache interaction, but the key itself must also be safe —
 // defense against future callers keying first and validating second).
 func (r SolveRequest) Key() string {
-	key := fmt.Sprintf("solve:%s:maxb=%d:maxnodes=%d", r.Spec.Hash(), r.MaxLevel, r.MaxNodes)
 	spec, err := model.Parse(r.Model)
 	if err != nil {
-		return key + ":model=!" + r.Model
+		return solveKey(r.Spec.Hash(), r, model.WaitFree()) + ":model=!" + r.Model
 	}
+	return solveKey(r.Spec.Hash(), r, spec)
+}
+
+// solveKey is Key for a request whose model parsed as spec, given the
+// content address of its task spec.
+func solveKey(specHash string, r SolveRequest, spec model.Spec) string {
+	key := fmt.Sprintf("solve:%s:maxb=%d:maxnodes=%d", specHash, r.MaxLevel, r.MaxNodes)
 	if spec.IsWaitFree() {
 		return key
 	}

@@ -63,67 +63,60 @@ const (
 	maxSpecM     = 8
 )
 
-// Build constructs the task, validating parameters.
-func (s TaskSpec) Build() (*tasks.Task, error) {
+// validate applies Build's parameter checks without constructing anything.
+// Every check reads a field normalized keeps (approx-agreement's procs is
+// checked raw and then normalized away), so specs with equal normalized
+// forms build the same task.
+func (s TaskSpec) validate() error {
 	if s.Procs < 0 || s.Procs > maxSpecProcs {
-		return nil, fmt.Errorf("%w: procs=%d out of range [1,%d]", ErrInvalid, s.Procs, maxSpecProcs)
-	}
-	procs := s.Procs
-	needProcs := func() error {
-		if procs < 1 {
-			return fmt.Errorf("%w: family %q needs procs ≥ 1", ErrInvalid, s.Family)
-		}
-		return nil
+		return fmt.Errorf("%w: procs=%d out of range [1,%d]", ErrInvalid, s.Procs, maxSpecProcs)
 	}
 	switch s.Family {
-	case "identity":
-		if err := needProcs(); err != nil {
-			return nil, err
+	case "identity", "consensus", "set-consensus", "approx-agreement-n", "renaming", "wsb":
+		if s.Procs < 1 {
+			return fmt.Errorf("%w: family %q needs procs ≥ 1", ErrInvalid, s.Family)
 		}
-		return tasks.IdentityTask(procs), nil
-	case "consensus":
-		if err := needProcs(); err != nil {
-			return nil, err
-		}
-		return tasks.Consensus(procs), nil
-	case "set-consensus":
-		if err := needProcs(); err != nil {
-			return nil, err
-		}
-		if s.K < 1 || s.K > procs {
-			return nil, fmt.Errorf("%w: set-consensus needs 1 ≤ k ≤ procs, got k=%d procs=%d", ErrInvalid, s.K, procs)
-		}
-		return tasks.SetConsensus(procs, s.K), nil
 	case "approx-agreement":
-		if procs != 0 && procs != 2 {
-			return nil, fmt.Errorf("%w: approx-agreement is 2-process (procs=%d)", ErrInvalid, procs)
+		if s.Procs != 0 && s.Procs != 2 {
+			return fmt.Errorf("%w: approx-agreement is 2-process (procs=%d)", ErrInvalid, s.Procs)
 		}
 		if s.D < 1 || s.D > maxSpecD {
-			return nil, fmt.Errorf("%w: approx-agreement needs 1 ≤ d ≤ %d, got %d", ErrInvalid, maxSpecD, s.D)
+			return fmt.Errorf("%w: approx-agreement needs 1 ≤ d ≤ %d, got %d", ErrInvalid, maxSpecD, s.D)
 		}
-		return tasks.ApproxAgreement(s.D), nil
-	case "approx-agreement-n":
-		if err := needProcs(); err != nil {
-			return nil, err
-		}
-		if s.D < 1 || s.D > 8 {
-			return nil, fmt.Errorf("%w: approx-agreement-n needs 1 ≤ d ≤ 8, got %d", ErrInvalid, s.D)
-		}
-		return tasks.ApproxAgreementN(procs, s.D), nil
-	case "renaming":
-		if err := needProcs(); err != nil {
-			return nil, err
-		}
-		if s.M < procs || s.M > maxSpecM {
-			return nil, fmt.Errorf("%w: renaming needs procs ≤ m ≤ %d, got m=%d procs=%d", ErrInvalid, maxSpecM, s.M, procs)
-		}
-		return tasks.Renaming(procs, s.M), nil
-	case "wsb":
-		if err := needProcs(); err != nil {
-			return nil, err
-		}
-		return tasks.WeakSymmetryBreaking(procs), nil
 	default:
-		return nil, fmt.Errorf("%w: unknown task family %q (want one of %v)", ErrInvalid, s.Family, Families())
+		return fmt.Errorf("%w: unknown task family %q (want one of %v)", ErrInvalid, s.Family, Families())
+	}
+	switch {
+	case s.Family == "set-consensus" && (s.K < 1 || s.K > s.Procs):
+		return fmt.Errorf("%w: set-consensus needs 1 ≤ k ≤ procs, got k=%d procs=%d", ErrInvalid, s.K, s.Procs)
+	case s.Family == "approx-agreement-n" && (s.D < 1 || s.D > 8):
+		return fmt.Errorf("%w: approx-agreement-n needs 1 ≤ d ≤ 8, got %d", ErrInvalid, s.D)
+	case s.Family == "renaming" && (s.M < s.Procs || s.M > maxSpecM):
+		return fmt.Errorf("%w: renaming needs procs ≤ m ≤ %d, got m=%d procs=%d", ErrInvalid, maxSpecM, s.M, s.Procs)
+	}
+	return nil
+}
+
+// Build constructs the task, validating parameters.
+func (s TaskSpec) Build() (*tasks.Task, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	n := s.normalized()
+	switch n.Family {
+	case "identity":
+		return tasks.IdentityTask(n.Procs), nil
+	case "consensus":
+		return tasks.Consensus(n.Procs), nil
+	case "set-consensus":
+		return tasks.SetConsensus(n.Procs, n.K), nil
+	case "approx-agreement":
+		return tasks.ApproxAgreement(n.D), nil
+	case "approx-agreement-n":
+		return tasks.ApproxAgreementN(n.Procs, n.D), nil
+	case "renaming":
+		return tasks.Renaming(n.Procs, n.M), nil
+	default: // "wsb": validate admits no other family
+		return tasks.WeakSymmetryBreaking(n.Procs), nil
 	}
 }

@@ -189,20 +189,39 @@ func (s Spec) Filter() topology.FacetFilter {
 // model multiplies per level. For wait-free it is exactly the Fubini
 // number, computed by the same checked recurrence the unrestricted cost
 // model uses.
+//
+// Every model predicate reads only the block sizes, so a restricted count
+// sums over the 2^(m−1) compositions (b1,…,bk) of m instead of the Fubini(m)
+// partitions: each admitted composition contributes its multinomial
+// m!/(b1!⋯bk!), the number of ordered partitions with those block sizes.
+// Like the wait-free count, m past topology.MaxFubiniN is rejected up front.
 func (s Spec) CountAllowedPartitions(m int) (int, error) {
-	if s.IsWaitFree() {
+	if s.IsWaitFree() || m < 0 || m > topology.MaxFubiniN {
 		return topology.CountOrderedPartitionsChecked(m)
+	}
+	if m == 0 {
+		return 1, nil // the empty partition, as Fubini(0) counts it
 	}
 	count := 0
 	blocks := make([]int, 0, m)
-	topology.ForEachOrderedPartition(m, func(parts [][]int) {
-		blocks = blocks[:0]
-		for _, b := range parts {
-			blocks = append(blocks, len(b))
+	// rest elements remain to place; weight is the multinomial so far. Every
+	// weight and partial sum is at most Fubini(m), which fits for m ≤ MaxFubiniN.
+	var rec func(rest, weight int)
+	rec = func(rest, weight int) {
+		if rest == 0 {
+			if s.AllowsPartition(blocks) {
+				count += weight
+			}
+			return
 		}
-		if s.AllowsPartition(blocks) {
-			count++
+		choose := 1
+		for b := 1; b <= rest; b++ {
+			choose = choose * (rest - b + 1) / b // C(rest, b)
+			blocks = append(blocks, b)
+			rec(rest-b, weight*choose)
+			blocks = blocks[:len(blocks)-1]
 		}
-	})
+	}
+	rec(m, 1)
 	return count, nil
 }

@@ -3,6 +3,8 @@ package model
 import (
 	"errors"
 	"testing"
+
+	"waitfree/internal/topology"
 )
 
 func TestParseCanonicalRoundTrip(t *testing.T) {
@@ -166,6 +168,44 @@ func TestCountAllowedPartitions(t *testing.T) {
 			if n, _ := spec.CountAllowedPartitions(m); n < 1 {
 				t.Errorf("%s admits no partition of an %d-set", spec.Canonical(), m)
 			}
+		}
+	}
+}
+
+// TestCountAllowedPartitionsMatchesEnumeration pins the composition count
+// equal to enumerating every ordered partition, for every family and
+// parameter at every m ≤ 6.
+func TestCountAllowedPartitionsMatchesEnumeration(t *testing.T) {
+	specs := []Spec{WaitFree()}
+	for p := 0; p <= 6; p++ {
+		specs = append(specs, TResilient(p), KConcurrency(p), KSet(p))
+	}
+	for _, spec := range specs {
+		for m := 1; m <= 6; m++ {
+			want := 0
+			topology.ForEachOrderedPartition(m, func(parts [][]int) {
+				blocks := make([]int, len(parts))
+				for i, b := range parts {
+					blocks[i] = len(b)
+				}
+				if spec.AllowsPartition(blocks) {
+					want++
+				}
+			})
+			got, err := spec.CountAllowedPartitions(m)
+			if err != nil || got != want {
+				t.Errorf("%s.CountAllowedPartitions(%d) = %d, %v; enumeration counts %d", spec.Canonical(), m, got, err, want)
+			}
+		}
+	}
+}
+
+// TestCountAllowedPartitionsRejectsHugeM: a size past the Fubini bound is an
+// error in every model, returned without enumerating anything.
+func TestCountAllowedPartitionsRejectsHugeM(t *testing.T) {
+	for _, spec := range []Spec{WaitFree(), TResilient(1), KConcurrency(2), KSet(1)} {
+		if _, err := spec.CountAllowedPartitions(2_000_000_000); err == nil {
+			t.Errorf("%s.CountAllowedPartitions(2e9): want an error", spec.Canonical())
 		}
 	}
 }

@@ -364,9 +364,10 @@ func TestPeerArtifactEndpoint(t *testing.T) {
 		t.Fatal("artifact response must name its cache tier")
 	}
 
-	// Unknown key: 404 and strictly no compute.
+	// Unknown key: 404 and strictly no compute. The key is one no query in
+	// clusterQueries asks for, so it is unknown whichever query primed.
 	misses := nodes[0].s.Engine().Metrics().CacheMisses.Load()
-	code, _ := get(t, nodes[0].url+cluster.ArtifactPath+url.PathEscape("cx:n=2:b=2"))
+	code, _ := get(t, nodes[0].url+cluster.ArtifactPath+url.PathEscape("cx:n=0:b=3"))
 	if code != http.StatusNotFound {
 		t.Fatalf("uncached artifact: %d, want 404", code)
 	}

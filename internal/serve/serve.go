@@ -29,6 +29,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -138,15 +139,15 @@ func NewServer(eng *engine.Engine, o Options) *Server {
 		degCost = DefaultDegradedMaxCost
 	}
 	return &Server{
-		eng:     eng,
-		sem:     make(chan struct{}, maxConc),
-		timeout: timeout,
-		slow:    o.SlowLog,
-		logger:  logger,
-		pprofOn: o.EnablePprof,
-		traces:  obs.NewRegistry(o.TraceBuffer),
-		maxCost: o.MaxCost,
-		degCost: degCost,
+		eng:      eng,
+		sem:      make(chan struct{}, maxConc),
+		timeout:  timeout,
+		slow:     o.SlowLog,
+		logger:   logger,
+		pprofOn:  o.EnablePprof,
+		traces:   obs.NewRegistry(o.TraceBuffer),
+		maxCost:  o.MaxCost,
+		degCost:  degCost,
 		breaker:  newBreaker(o.Breaker),
 		cluster:  o.Cluster,
 		netfault: o.NetFault,
@@ -408,38 +409,29 @@ func (s *Server) healthState() string {
 	return "ok"
 }
 
-// costedRequest is what admission needs from a request: its closed-form
-// Lemma 3.3 estimate and its cache key. All four engine request types
-// satisfy it.
-type costedRequest interface {
-	EstimateCost() (int64, error)
-	Key() string
-}
-
-// admit is the cost-aware admission gate, run after parsing and before any
-// engine work:
+// answer is the request pipeline's tail, shared by every /v1/* query
+// endpoint and run on the cost and key the handler computed once:
 //
-//  1. Estimate the query's cost from the Lemma 3.3 facet recurrence
-//     (closed form — microseconds, no subdivision built).
-//  2. Over MaxCost → 400 ErrOverBudget with the estimate in the body: the
+//  1. Over MaxCost → 400 ErrOverBudget with the estimate in the body: the
 //     query will never fit, resize it instead of retrying.
-//  3. In degraded mode, over DegradedMaxCost and not already cached →
+//  2. In degraded mode, over DegradedMaxCost and not already cached →
 //     503 ErrDegraded + Retry-After: the query is fine, come back later.
+//  3. Cluster routing (maybeForward), then the local engine call.
 //
-// Cached answers always serve: a hit costs no facets regardless of what the
-// estimate says the query would cost to compute.
-func (s *Server) admit(req costedRequest) error {
-	cost, err := req.EstimateCost()
-	if err != nil {
-		return err
-	}
+// Cached answers always pass admission: a hit costs no facets regardless of
+// what the estimate (Lemma 3.3's closed-form facet count) says the query
+// would cost to compute.
+func (s *Server) answer(ctx context.Context, r *http.Request, cost int64, key string, local func() (any, error)) (any, error) {
 	if s.maxCost > 0 && cost > s.maxCost {
-		return &costError{estimated: cost, budget: s.maxCost, err: engine.ErrOverBudget}
+		return nil, &costError{estimated: cost, budget: s.maxCost, err: engine.ErrOverBudget}
 	}
-	if cost > s.degCost && s.breaker.Degraded() && !s.eng.HasCached(req.Key()) {
-		return &costError{estimated: cost, budget: s.degCost, err: ErrDegraded}
+	if cost > s.degCost && s.breaker.Degraded() && !s.eng.HasCached(key) {
+		return nil, &costError{estimated: cost, budget: s.degCost, err: ErrDegraded}
 	}
-	return nil
+	if fr := s.maybeForward(ctx, r, key); fr != nil {
+		return fr, nil
+	}
+	return local()
 }
 
 // costError carries the admission verdict's numbers so writeError can put
@@ -542,79 +534,73 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.instrument("solve", w, r, func(ctx context.Context) (any, error) {
-		req, err := parseSolve(r)
+		req, err := parseSolve(r.URL.Query())
 		if err != nil {
 			return nil, err
 		}
-		if err := s.admit(req); err != nil {
+		q, err := s.eng.PrepareSolve(req)
+		if err != nil {
 			return nil, err
 		}
-		if fr := s.maybeForward(ctx, r, req.Key()); fr != nil {
-			return fr, nil
-		}
-		return s.eng.Solve(ctx, req)
+		return s.answer(ctx, r, q.Cost, q.Key, func() (any, error) { return s.eng.SolvePrepared(ctx, q) })
 	})
 }
 
 func (s *Server) handleComplex(w http.ResponseWriter, r *http.Request) {
 	s.instrument("complex", w, r, func(ctx context.Context) (any, error) {
-		n, err := intParamRange(r, "n", 2, 0, 8)
+		q := r.URL.Query()
+		n, err := intParam(q, "n", 2, 0, 8)
 		if err != nil {
 			return nil, err
 		}
-		b, err := intParamRange(r, "b", 1, 0, 8)
+		b, err := intParam(q, "b", 1, 0, 8)
 		if err != nil {
 			return nil, err
 		}
 		req := engine.ComplexRequest{N: n, B: b}
-		if err := s.admit(req); err != nil {
+		cost, err := req.EstimateCost()
+		if err != nil {
 			return nil, err
 		}
-		if fr := s.maybeForward(ctx, r, req.Key()); fr != nil {
-			return fr, nil
-		}
-		return s.eng.ComplexInfo(ctx, req)
+		return s.answer(ctx, r, cost, req.Key(), func() (any, error) { return s.eng.ComplexInfo(ctx, req) })
 	})
 }
 
 func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 	s.instrument("converge", w, r, func(ctx context.Context) (any, error) {
-		n, err := intParamRange(r, "n", 1, 0, 8)
+		q := r.URL.Query()
+		n, err := intParam(q, "n", 1, 0, 8)
 		if err != nil {
 			return nil, err
 		}
-		target, err := intParamRange(r, "target", 1, 0, 8)
+		target, err := intParam(q, "target", 1, 0, 8)
 		if err != nil {
 			return nil, err
 		}
-		maxk, err := intParamRange(r, "maxk", 3, 0, 8)
+		maxk, err := intParam(q, "maxk", 3, 0, 8)
 		if err != nil {
 			return nil, err
 		}
 		req := engine.ConvergeRequest{N: n, Target: target, MaxK: maxk}
-		if err := s.admit(req); err != nil {
+		cost, err := req.EstimateCost()
+		if err != nil {
 			return nil, err
 		}
-		if fr := s.maybeForward(ctx, r, req.Key()); fr != nil {
-			return fr, nil
-		}
-		return s.eng.Converge(ctx, req)
+		return s.answer(ctx, r, cost, req.Key(), func() (any, error) { return s.eng.Converge(ctx, req) })
 	})
 }
 
 func (s *Server) handleAdversary(w http.ResponseWriter, r *http.Request) {
 	s.instrument("adversary", w, r, func(ctx context.Context) (any, error) {
-		req, err := parseAdversary(r)
+		req, err := parseAdversary(r.URL.Query())
 		if err != nil {
 			return nil, err
 		}
-		if err := s.admit(req); err != nil {
+		cost, err := req.EstimateCost()
+		if err != nil {
 			return nil, err
 		}
-		if fr := s.maybeForward(ctx, r, req.Key()); fr != nil {
-			return fr, nil
-		}
-		return s.eng.Adversary(ctx, req)
+		return s.answer(ctx, r, cost, req.Key(), func() (any, error) { return s.eng.Adversary(ctx, req) })
 	})
 }
 
@@ -662,45 +648,44 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // parseSolve reads a SolveRequest from query parameters. Defaults mirror
 // the CLI: maxb=2, engine-default node budget.
-func parseSolve(r *http.Request) (engine.SolveRequest, error) {
+func parseSolve(q url.Values) (engine.SolveRequest, error) {
 	var req engine.SolveRequest
-	req.Spec.Family = r.URL.Query().Get("family")
+	req.Spec.Family = q.Get("family")
 	if req.Spec.Family == "" {
 		return req, fmt.Errorf("%w: family is required (one of %v)", engine.ErrInvalid, engine.Families())
 	}
 	var err error
-	if req.Spec.Procs, err = intParamRange(r, "procs", 0, 0, 64); err != nil {
+	if req.Spec.Procs, err = intParam(q, "procs", 0, 0, 64); err != nil {
 		return req, err
 	}
-	if req.Spec.K, err = intParamRange(r, "k", 0, 0, 64); err != nil {
+	if req.Spec.K, err = intParam(q, "k", 0, 0, 64); err != nil {
 		return req, err
 	}
-	if req.Spec.D, err = intParamRange(r, "d", 0, 0, 1<<20); err != nil {
+	if req.Spec.D, err = intParam(q, "d", 0, 0, 1<<20); err != nil {
 		return req, err
 	}
-	if req.Spec.M, err = intParamRange(r, "m", 0, 0, 64); err != nil {
+	if req.Spec.M, err = intParam(q, "m", 0, 0, 64); err != nil {
 		return req, err
 	}
-	if req.MaxLevel, err = intParamRange(r, "maxb", 2, 0, engine.MaxSolveLevel); err != nil {
+	if req.MaxLevel, err = intParam(q, "maxb", 2, 0, engine.MaxSolveLevel); err != nil {
 		return req, err
 	}
-	maxNodes, err := intParamRange(r, "maxnodes", 0, 0, 1<<62)
+	maxNodes, err := intParam(q, "maxnodes", 0, 0, 1<<62)
 	if err != nil {
 		return req, err
 	}
 	req.MaxNodes = int64(maxNodes)
 	// Affine model, canonical surface syntax; absent = wait-free. Passed
-	// through verbatim: admission (EstimateCost) and the engine both reject
-	// unknown or out-of-range models with ErrInvalid → 400, and the repro
-	// line maps it 1:1 onto the CLI's -model flag.
-	req.Model = r.URL.Query().Get("model")
+	// through verbatim: PrepareSolve rejects unknown or out-of-range models
+	// with ErrInvalid → 400, and the repro line maps it 1:1 onto the CLI's
+	// -model flag.
+	req.Model = q.Get("model")
 	return req, nil
 }
 
 // parseAdversary reads an AdversaryRequest from query parameters.
-func parseAdversary(r *http.Request) (engine.AdversaryRequest, error) {
+func parseAdversary(q url.Values) (engine.AdversaryRequest, error) {
 	var req engine.AdversaryRequest
-	q := r.URL.Query()
 	req.Algo = q.Get("algo")
 	if req.Algo == "" {
 		return req, fmt.Errorf("%w: algo is required (one of %v)", engine.ErrInvalid, engine.AdversaryAlgos())
@@ -710,16 +695,16 @@ func parseAdversary(r *http.Request) (engine.AdversaryRequest, error) {
 		req.Adversary = "round-robin"
 	}
 	var err error
-	if req.Procs, err = intParamRange(r, "procs", 3, 1, 8); err != nil {
+	if req.Procs, err = intParam(q, "procs", 3, 1, 8); err != nil {
 		return req, err
 	}
-	seed, err := intParam(r, "seed", 1)
+	seed, err := intParam(q, "seed", 1, math.MinInt, math.MaxInt)
 	if err != nil {
 		return req, err
 	}
 	req.Seed = int64(seed)
 	// maxsteps < 0 is meaningful (= unlimited budget, mirroring the CLI).
-	if req.MaxSteps, err = intParam(r, "maxsteps", 0); err != nil {
+	if req.MaxSteps, err = intParam(q, "maxsteps", 0, math.MinInt, math.MaxInt); err != nil {
 		return req, err
 	}
 	if cs := q.Get("crash"); cs != "" {
@@ -731,25 +716,18 @@ func parseAdversary(r *http.Request) (engine.AdversaryRequest, error) {
 	return req, nil
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	s := r.URL.Query().Get(name)
+// intParam reads an integer query parameter (def when absent) inside a
+// [min, max] sanity window, so negative or absurd values are rejected at the
+// door instead of reaching the engine raw. The engine still applies its own
+// (tighter, per-family) bounds.
+func intParam(q url.Values, name string, def, min, max int) (int, error) {
+	s := q.Get(name)
 	if s == "" {
 		return def, nil
 	}
 	v, err := strconv.Atoi(s)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %s=%q is not an integer", engine.ErrInvalid, name, s)
-	}
-	return v, nil
-}
-
-// intParamRange is intParam plus a [min, max] sanity window, so negative or
-// absurd values are rejected at the door instead of reaching the engine
-// raw. The engine still applies its own (tighter, per-family) bounds.
-func intParamRange(r *http.Request, name string, def, min, max int) (int, error) {
-	v, err := intParam(r, name, def)
-	if err != nil {
-		return 0, err
 	}
 	if v < min || v > max {
 		return 0, fmt.Errorf("%w: %s=%d out of range [%d,%d]", engine.ErrInvalid, name, v, min, max)

@@ -131,13 +131,22 @@ func CountOrderedPartitions(n int) int {
 	return v
 }
 
+// MaxFubiniN is the largest n whose Fubini number fits in a 64-bit int:
+// a(18) = 3385534663256845323, while a(19) ≈ 9.28e19 does not.
+const MaxFubiniN = 18
+
 // CountOrderedPartitionsChecked is CountOrderedPartitions with explicit
 // overflow detection: every intermediate product and sum is checked, and the
 // first value that does not fit in int is reported as an error instead of a
-// silently wrapped number.
+// silently wrapped number. An n past MaxFubiniN is rejected up front, and
+// the table is a fixed-size array, so a hostile n (from a request, a peer's
+// key or a disk) sizes no allocation.
 func CountOrderedPartitionsChecked(n int) (int, error) {
+	if n < 0 || n > MaxFubiniN {
+		return 0, fmt.Errorf("topology: CountOrderedPartitions(%d): n must lie in [0,%d], a(n) overflows int past it", n, MaxFubiniN)
+	}
 	// a(n) = Σ_{k=1..n} C(n,k) a(n−k), a(0)=1.
-	a := make([]int, n+1)
+	var a [MaxFubiniN + 1]int
 	a[0] = 1
 	for m := 1; m <= n; m++ {
 		for k := 1; k <= m; k++ {
