@@ -309,11 +309,25 @@ func (c *Cluster) peerKeys(ctx context.Context, peer string) ([]string, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: %s%s returned %d", peer, KeysPath, resp.StatusCode)
 	}
+	return decodeInventory(resp.Body)
+}
+
+// MaxInventoryKeys caps a finished-key inventory: a node lists at most this
+// many keys, and a warmth pass acts on at most this many from any peer.
+const MaxInventoryKeys = 4096
+
+// decodeInventory decodes a peer's KeysPath body. The body is untrusted:
+// at most 1 MiB of it is read, and at most MaxInventoryKeys keys are kept,
+// so neither its size nor its key count can drive the warmth pass.
+func decodeInventory(r io.Reader) ([]string, error) {
 	var out struct {
 		Keys []string `json:"keys"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r, 1<<20)).Decode(&out); err != nil {
 		return nil, err
+	}
+	if len(out.Keys) > MaxInventoryKeys {
+		out.Keys = out.Keys[:MaxInventoryKeys]
 	}
 	return out.Keys, nil
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -314,5 +316,87 @@ func TestAntiEntropyConcurrentWithMerge(t *testing.T) {
 	<-done
 	if n := len(c.GossipView().Members); n != 202 {
 		t.Fatalf("membership has %d records, want 202", n)
+	}
+}
+
+// TestAntiEntropyHostileInventory runs a live warmth pass against a peer
+// whose inventory is hostile: keys with absurd cx:/conv: parameters that
+// the fetch bound must price without allocating, malformed keys, and more
+// keys than MaxInventoryKeys. Every artifact it serves fails content-address
+// verification. The node must finish the pass, count the misses, admit
+// nothing, never fetch past the inventory cap, and keep answering queries.
+func TestAntiEntropyHostileInventory(t *testing.T) {
+	var keys []string
+	for i := 0; i < MaxInventoryKeys; i++ {
+		switch i % 4 {
+		case 0:
+			keys = append(keys, fmt.Sprintf("cx:n=%d:b=2000000000", 2000000000-i))
+		case 1:
+			keys = append(keys, fmt.Sprintf("conv:n=%d:target=2000000000:maxk=2000000000", 2000000000-i))
+		case 2:
+			keys = append(keys, fmt.Sprintf("cx:n=0:b=%d", 2000000000-i))
+		default:
+			keys = append(keys, fmt.Sprintf("solve:%d:maxb=99999999999999999999", i))
+		}
+	}
+	for i := 0; i < 64; i++ {
+		keys = append(keys, fmt.Sprintf("cx:beyond-cap-%d", i))
+	}
+	inventory, err := json.Marshal(map[string][]string{"keys": keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fetches, beyondCap atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == KeysPath {
+			w.Write(inventory)
+			return
+		}
+		fetches.Add(1)
+		if strings.Contains(r.URL.Path, "beyond-cap") {
+			beyondCap.Add(1)
+		}
+		w.Header().Set(HeaderSha256, strings.Repeat("0", 64))
+		w.Write([]byte("not the artifact"))
+	}))
+	defer ts.Close()
+
+	e := engine.New(engine.Options{})
+	m := engine.NewMetrics()
+	c := mustNew(t, Options{
+		Self:       "http://self.invalid:1",
+		Peers:      []string{ts.URL},
+		Metrics:    m,
+		Admitter:   e,
+		FetchLimit: e.FetchByteLimit,
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.antiEntropy(context.Background())
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("warmth pass against a hostile inventory did not finish")
+	}
+
+	if fetches.Load() == 0 {
+		t.Fatal("the pass fetched nothing; the test no longer reaches the fetch bound")
+	}
+	if n := beyondCap.Load(); n != 0 {
+		t.Errorf("%d fetches for keys past MaxInventoryKeys", n)
+	}
+	if got, want := m.Counter("cluster_peer_fill_sha_mismatch"), fetches.Load(); got != want {
+		t.Errorf("sha-mismatch misses counted %d, fetches %d", got, want)
+	}
+	if n := m.Counter("cluster_handoff_keys_total"); n != 0 {
+		t.Errorf("%d hostile artifacts admitted", n)
+	}
+	if st := c.State(NormalizeAddr(ts.URL)); st != PeerUp {
+		t.Errorf("hostile but responsive peer marked %s", st)
+	}
+	if _, err := e.Solve(context.Background(), engine.SolveRequest{Spec: engine.TaskSpec{Family: "consensus", Procs: 2}, MaxLevel: 1}); err != nil {
+		t.Fatalf("node stopped answering after the hostile pass: %v", err)
 	}
 }

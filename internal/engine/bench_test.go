@@ -20,6 +20,22 @@ func BenchmarkEngineSolveCold(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSolveColdDeep is the heaviest class of the service's
+// cold-solve benchmark: consensus procs=3 through b ≤ 3 on a fresh engine
+// per op. Three subdivision levels of eight input triangles, each level
+// decided by propagation alone, so the time is subdivision plus the
+// solver's per-level set-up (domains, edge tables, AC-3). Workers is 1
+// because the parallel subdivision's allocation count depends on the core
+// count, and benchguard gates allocs/op exactly across machines.
+func BenchmarkEngineSolveColdDeep(b *testing.B) {
+	req := SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 3}, MaxLevel: 3}
+	for i := 0; i < b.N; i++ {
+		if _, err := New(Options{Workers: 1}).Solve(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineSolveWarm measures a content-address hit: one engine,
 // verdict cached before the timer starts.
 func BenchmarkEngineSolveWarm(b *testing.B) {

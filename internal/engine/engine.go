@@ -391,13 +391,14 @@ func (e *Engine) ComplexInfo(ctx context.Context, req ComplexRequest) (*ComplexR
 		if err != nil {
 			return nil, err
 		}
+		fv := sub.FVector()
 		return &ComplexResponse{
 			N:         req.N,
 			B:         req.B,
 			Vertices:  sub.NumVertices(),
 			Facets:    len(sub.Facets()),
-			FVector:   sub.FVector(),
-			Euler:     sub.EulerCharacteristic(),
+			FVector:   fv,
+			Euler:     topology.EulerOfFVector(fv),
 			Chromatic: sub.IsChromatic(),
 			Pure:      sub.IsPure(),
 			Hash:      sub.CanonicalHash(),

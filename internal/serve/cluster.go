@@ -199,7 +199,7 @@ func (s *Server) handlePeerProbe(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePeerKeys(w http.ResponseWriter, r *http.Request) {
 	s.eng.Metrics().Inc("cluster_peer_keys_requests")
 	w.Header().Set("Content-Type", "application/json")
-	engine.WriteJSON(w, map[string]any{"keys": s.eng.CachedKeys(4096)})
+	engine.WriteJSON(w, map[string]any{"keys": s.eng.CachedKeys(cluster.MaxInventoryKeys)})
 }
 
 // handleNetfault is the dev-only control surface for the deterministic

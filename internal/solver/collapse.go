@@ -45,15 +45,7 @@ func (st *searchState) collapse(remaining []bool) []int {
 			inc[v] = append(inc[v], fi)
 		}
 	}
-	incSimp := make([][]int, nv) // vertex → incident dim ≥ 1 simplices
-	for i, s := range st.flat {
-		if st.dims[i] < 1 {
-			continue
-		}
-		for _, v := range s {
-			incSimp[v] = append(incSimp[v], i)
-		}
-	}
+	incSimp := st.incidentSimplices()
 	var eliminated []int
 	for {
 		changed := false
@@ -71,6 +63,18 @@ func (st *searchState) collapse(remaining []bool) []int {
 			return eliminated
 		}
 	}
+}
+
+// incidentSimplices maps each vertex to the indices of its incident
+// simplices in st.flat (all of dimension ≥ 1).
+func (st *searchState) incidentSimplices() [][]int {
+	inc := make([][]int, len(st.vals))
+	for i, s := range st.flat {
+		for _, v := range s {
+			inc[v] = append(inc[v], i)
+		}
+	}
+	return inc
 }
 
 // hasUniversalValue reports whether some active value of v is consistent
@@ -201,15 +205,7 @@ func (st *searchState) dominator(v int, remaining []bool, facets [][]topology.Ve
 // false return does not disprove extendability, it hands control to the
 // collapse-free fallback.
 func (st *searchState) restore(eliminated []int) bool {
-	incSimp := make([][]int, len(st.vals)) // vertex → incident dim ≥ 1 simplices
-	for i, s := range st.flat {
-		if st.dims[i] < 1 {
-			continue
-		}
-		for _, v := range s {
-			incSimp[v] = append(incSimp[v], i)
-		}
-	}
+	incSimp := st.incidentSimplices()
 	var scratch []topology.Vertex
 	for i := len(eliminated) - 1; i >= 0; i-- {
 		v := eliminated[i]

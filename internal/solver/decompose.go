@@ -85,7 +85,7 @@ func (st *searchState) components(remaining []bool) []*component {
 	// position (within its component's order) where its last vertex is
 	// assigned. Dim 0 is folded into domains, dim 1 into forward checking.
 	for i, s := range st.flat {
-		if st.dims[i] < 2 {
+		if len(s) < 3 {
 			continue
 		}
 		id, last, ok := -1, -1, true
@@ -251,8 +251,8 @@ func (st *searchState) searchComponents(ctx context.Context, comps []*component,
 // decompose, search, restore — with a verified fallback that re-runs the
 // level without collapse if restoring eliminated vertices ever fails, so
 // collapse can never change a verdict.
-func solveStructured(ctx context.Context, task *tasks.Task, sub *topology.Complex, domains [][]topology.Vertex, opts Options, maxNodes int64, res *Result) error {
-	err := solveStructuredOnce(ctx, task, sub, domains, opts, maxNodes, res, opts.NoCollapse)
+func solveStructured(ctx context.Context, task *tasks.Task, sub *topology.Complex, cl *vertexClasses, domains [][]topology.Vertex, opts Options, maxNodes int64, res *Result) error {
+	err := solveStructuredOnce(ctx, task, sub, cl, domains, opts, maxNodes, res, opts.NoCollapse)
 	if err == nil || !errors.Is(err, errRestoreFailed) {
 		return err
 	}
@@ -263,7 +263,7 @@ func solveStructured(ctx context.Context, task *tasks.Task, sub *topology.Comple
 	// the work was really done.
 	prior := *res
 	res.Stats = Stats{}
-	if err := solveStructuredOnce(ctx, task, sub, domains, opts, maxNodes, res, true); err != nil {
+	if err := solveStructuredOnce(ctx, task, sub, cl, domains, opts, maxNodes, res, true); err != nil {
 		res.Nodes += prior.Nodes
 		return err
 	}
@@ -278,8 +278,8 @@ func solveStructured(ctx context.Context, task *tasks.Task, sub *topology.Comple
 // collapse-free re-search, so it never escapes the package.
 var errRestoreFailed = errors.New("solver: collapse restoration failed")
 
-func solveStructuredOnce(ctx context.Context, task *tasks.Task, sub *topology.Complex, domains [][]topology.Vertex, opts Options, maxNodes int64, res *Result, noCollapse bool) error {
-	st := newSearchState(task, sub, domains, opts.Workers)
+func solveStructuredOnce(ctx context.Context, task *tasks.Task, sub *topology.Complex, cl *vertexClasses, domains [][]topology.Vertex, opts Options, maxNodes int64, res *Result, noCollapse bool) error {
+	st := newSearchState(task, sub, cl, domains)
 	pruned, ok, err := st.propagate(ctx)
 	res.Stats.PrunedValues = pruned
 	if err != nil {
@@ -289,6 +289,7 @@ func solveStructuredOnce(ctx context.Context, task *tasks.Task, sub *topology.Co
 		res.Solvable = false // an emptied domain is an unsolvability proof
 		return nil
 	}
+	st.buildSimplices()
 
 	remaining := make([]bool, len(st.vals))
 	for v := range remaining {

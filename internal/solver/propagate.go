@@ -12,8 +12,9 @@ import (
 // of the decision-map problem live on the 1-skeleton of the subdivision:
 // for an edge {u, v}, the pair of decisions (δ(u), δ(v)) must be a simplex
 // of the output complex and allowed for the edge's carrier. searchState
-// materializes those constraints once — a boolean support table per edge —
-// and then uses them twice: an AC-3 arc-consistency pass before the search
+// materializes those constraints once — a boolean support table per edge,
+// shared by every edge of one class pair (level.go) — and then uses them
+// twice: an AC-3 arc-consistency pass before the search
 // (pruning per-vertex domains to values that have a support across every
 // incident edge) and forward checking inside the backtracking (pruning
 // unassigned neighbors' domains the moment a vertex is assigned, so a dead
@@ -22,14 +23,14 @@ import (
 // tabulated this way without blowing memory; they are verified by the same
 // incremental checkItem schedule the exhaustive engine uses.
 
-// edgeRec is one 1-simplex {u, v} (u < v) with its carrier and a flat
-// support table: ok[i*dv+j] reports whether (vals[u][i], vals[v][j]) is a
-// legal decision pair for this edge.
+// edgeRec is one 1-simplex {u, v} (u < v) with a flat support table:
+// ok[i*dv+j] reports whether (vals[u][i], vals[v][j]) is a legal decision
+// pair for this edge. Edges whose endpoints share (colour, carrier) classes
+// share one table.
 type edgeRec struct {
-	u, v    int
-	carrier []topology.Vertex
-	dv      int    // len(vals[v]), the row stride of ok
-	ok      []bool // len(vals[u]) × len(vals[v])
+	u, v int
+	dv   int    // len(vals[v]), the row stride of ok
+	ok   []bool // len(vals[u]) × len(vals[v]); read-only, shared
 }
 
 // neighborRef is an adjacency entry: the neighbor vertex and the incident
@@ -61,19 +62,18 @@ type searchState struct {
 	edges []edgeRec
 	adj   [][]neighborRef // built over remaining vertices by buildAdjacency
 
-	flat     [][]topology.Vertex // every simplex of sub
-	carriers [][]topology.Vertex // carrier per flat simplex
-	dims     []int               // len(flat[i]) - 1
+	// Every simplex of dimension ≥ 1 with its carrier, filled by
+	// buildSimplices only once propagation has left every domain non-empty.
+	flat     [][]topology.Vertex
+	carriers [][]topology.Vertex
 
 	assigned []bool
 	assign   []topology.Vertex
 }
 
-// newSearchState builds the state: flat simplex/carrier tables (parallel),
-// edge records with support tables (parallel — one table per edge, each
-// |d_u|×|d_v|, tiny because chromatic output complexes have few vertices
-// per color).
-func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topology.Vertex, workers int) *searchState {
+// newSearchState builds the state: one backing array for the active masks,
+// and the edge records with their class-shared support tables.
+func newSearchState(task *tasks.Task, sub *topology.Complex, cl *vertexClasses, domains [][]topology.Vertex) *searchState {
 	nv := sub.NumVertices()
 	st := &searchState{
 		task:     task,
@@ -84,36 +84,19 @@ func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topolog
 		assigned: make([]bool, nv),
 		assign:   make([]topology.Vertex, nv),
 	}
-	for v := 0; v < nv; v++ {
-		st.active[v] = make([]bool, len(domains[v]))
-		for i := range st.active[v] {
-			st.active[v][i] = true
-		}
-		st.count[v] = len(domains[v])
+	total := 0
+	for _, d := range domains {
+		total += len(d)
 	}
-	st.flat, st.carriers = flatSimplices(sub, workers)
-	st.dims = make([]int, len(st.flat))
-	for i, s := range st.flat {
-		st.dims[i] = len(s) - 1
+	mask := make([]bool, total)
+	for i := range mask {
+		mask[i] = true
 	}
-	for i, s := range st.flat {
-		if len(s) == 2 {
-			st.edges = append(st.edges, edgeRec{u: int(s[0]), v: int(s[1]), carrier: st.carriers[i]})
-		}
+	for v, d := range domains {
+		st.active[v], mask = mask[:len(d):len(d)], mask[len(d):]
+		st.count[v] = len(d)
 	}
-	parallelRange(len(st.edges), workers, func(i int) {
-		e := &st.edges[i]
-		du, dv := st.vals[e.u], st.vals[e.v]
-		e.dv = len(dv)
-		e.ok = make([]bool, len(du)*len(dv))
-		pair := make([]topology.Vertex, 2)
-		for a, wu := range du {
-			for b, wv := range dv {
-				pair[0], pair[1] = wu, wv
-				e.ok[a*e.dv+b] = st.task.Outputs.HasSimplex(pair) && st.task.Allowed(e.carrier, pair)
-			}
-		}
-	})
+	st.buildEdges(cl)
 	return st
 }
 
@@ -125,7 +108,20 @@ func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topolog
 // decision map restricted to an edge would be a support).
 func (st *searchState) propagate(ctx context.Context) (pruned int64, ok bool, err error) {
 	nv := len(st.vals)
-	incident := make([][]int, nv) // vertex → incident edge indices
+	// incident[v] lists v's edges in edge order, packed in one array.
+	deg := make([]int, nv+1)
+	for _, e := range st.edges {
+		deg[e.u+1]++
+		deg[e.v+1]++
+	}
+	for v := 0; v < nv; v++ {
+		deg[v+1] += deg[v]
+	}
+	backing := make([]int, 2*len(st.edges))
+	incident := make([][]int, nv)
+	for v := range incident {
+		incident[v] = backing[deg[v]:deg[v]:deg[v+1]]
+	}
 	for i, e := range st.edges {
 		incident[e.u] = append(incident[e.u], i)
 		incident[e.v] = append(incident[e.v], i)

@@ -96,16 +96,18 @@ type Options struct {
 	// size within each component.
 	Order Order
 
-	// Workers bounds the parallelism of the per-vertex domain, per-simplex
-	// carrier, and edge-support precomputation, of the per-component
-	// search fan-out under EngineStructured, and (in SolveUpTo) of the
-	// subdivision between levels: 0 means runtime.NumCPU(), 1 forces the
-	// sequential path. Verdicts and node counts are identical at any
-	// Workers value: each component's search is sequential and
-	// deterministic, and the reported node count is assembled in component
-	// order. Workers > 1 requires task.Allowed to be safe for concurrent
-	// calls — true of every task in this repository, whose Allowed
-	// closures only read immutable tables.
+	// Workers bounds the parallelism of the per-component search fan-out
+	// under EngineStructured, of the exhaustive engine's per-simplex
+	// carrier precomputation, and (in SolveUpTo) of the subdivision
+	// between levels: 0 means runtime.NumCPU(), 1 forces the sequential
+	// path. The structured engine's per-level set-up is sequential: it
+	// works per (color, carrier) class, a few dozen per level. Verdicts
+	// and node counts are identical at any Workers value: each
+	// component's search is sequential and deterministic, and the
+	// reported node count is assembled in component order. Workers > 1
+	// requires task.Allowed to be safe for concurrent calls — true of
+	// every task in this repository, whose Allowed closures only read
+	// immutable tables.
 	Workers int
 
 	// Engine selects the search engine (default EngineStructured).
@@ -224,25 +226,16 @@ func SolveAtLevelOn(ctx context.Context, task *tasks.Task, b int, sub *topology.
 		return res, fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
 
-	nv := sub.NumVertices()
 	// Per-vertex domains: same color, and allowed as a singleton decision
-	// for the vertex's own carrier. Each vertex is independent, so the loop
-	// fans out over a worker pool; the result is index-addressed and
-	// therefore deterministic regardless of scheduling.
-	domains := make([][]topology.Vertex, nv)
-	parallelRange(nv, opts.Workers, func(v int) {
-		carrier := sub.Carrier(topology.Vertex(v))
-		for _, w := range task.Outputs.VerticesOfColor(sub.Color(topology.Vertex(v))) {
-			if task.Allowed(carrier, []topology.Vertex{w}) {
-				domains[v] = append(domains[v], w)
-			}
-		}
-	})
-	for v := 0; v < nv; v++ {
-		if len(domains[v]) == 0 {
+	// for the vertex's own carrier — computed once per (color, carrier)
+	// class.
+	cl := classify(task, sub)
+	for _, d := range cl.domain {
+		if len(d) == 0 {
 			return res, nil // unsolvable: a vertex has no legal decision
 		}
 	}
+	domains := cl.domains()
 
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("%w: %w", ErrCanceled, err)
@@ -251,7 +244,7 @@ func SolveAtLevelOn(ctx context.Context, task *tasks.Task, b int, sub *topology.
 	if opts.Engine == EngineExhaustive {
 		err = solveExhaustive(ctx, task, sub, domains, opts, maxNodes, res)
 	} else {
-		err = solveStructured(ctx, task, sub, domains, opts, maxNodes, res)
+		err = solveStructured(ctx, task, sub, cl, domains, opts, maxNodes, res)
 	}
 	if err != nil {
 		return res, fmt.Errorf("%w (level %d, %d nodes)", err, b, res.Nodes)

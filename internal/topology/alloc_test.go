@@ -57,3 +57,24 @@ func TestLegacyAllocGap(t *testing.T) {
 		t.Errorf("alloc gap collapsed: arena %.0f, legacy %.0f (want ≥10×)", arena, legacy)
 	}
 }
+
+// TestHasSimplexAllocFree pins HasSimplex's stack-buffer sort: the solver's
+// edge-class tables and converge's map search call it in their inner
+// loops, on unsorted inputs of a handful of vertices.
+func TestHasSimplexAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under -race")
+	}
+	c := SDS(Simplex(3))
+	f := c.Facets()[len(c.Facets())/2]
+	rev := []Vertex{f[3], f[1], f[2], f[0]}
+	edge := []Vertex{f[2], f[0]}
+	got := testing.AllocsPerRun(100, func() {
+		if !c.HasSimplex(rev) || !c.HasSimplex(edge) {
+			t.Fatal("facet subsets reported missing")
+		}
+	})
+	if got != 0 {
+		t.Errorf("HasSimplex: %.1f allocs/run, want 0", got)
+	}
+}

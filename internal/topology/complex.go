@@ -341,13 +341,17 @@ func (c *Complex) IsChromatic() bool {
 }
 
 // HasSimplex reports whether the given vertex set is a simplex of the
-// complex (a subset of some facet). The input need not be sorted.
+// complex (a subset of some facet). The input need not be sorted. Inputs
+// of up to 8 vertices are sorted in a stack buffer, so the call does not
+// allocate: the solvers ask it once per edge class and per search check.
 func (c *Complex) HasSimplex(vs []Vertex) bool {
 	c.mustBeSealed("HasSimplex")
 	if len(vs) == 0 {
 		return false
 	}
-	s := sortedCopy(vs)
+	var buf [8]Vertex
+	s := append(buf[:0], vs...)
+	slices.Sort(s)
 	for i := 1; i < len(s); i++ {
 		if s[i] == s[i-1] {
 			return false
@@ -403,8 +407,15 @@ func (c *Complex) FVector() []int {
 
 // EulerCharacteristic returns Σ (−1)^d f_d.
 func (c *Complex) EulerCharacteristic() int {
+	return EulerOfFVector(c.FVector())
+}
+
+// EulerOfFVector returns Σ (−1)^d f[d], the Euler characteristic of a
+// complex with f-vector f; callers that already hold the f-vector use it
+// instead of EulerCharacteristic, which enumerates every simplex again.
+func EulerOfFVector(f []int) int {
 	chi := 0
-	for d, n := range c.FVector() {
+	for d, n := range f {
 		if d%2 == 0 {
 			chi += n
 		} else {
