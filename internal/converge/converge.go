@@ -18,7 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"waitfree/internal/obs"
 	"waitfree/internal/protocol"
@@ -202,14 +202,8 @@ func searchMap(ctx context.Context, sub, a *topology.Complex, domainFor func(*to
 }
 
 func dedupe(vs []topology.Vertex) []topology.Vertex {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	out := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != vs[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	slices.Sort(vs)
+	return slices.Compact(vs)
 }
 
 // vertexSetSubset reports a ⊆ b for sorted vertex slices.
@@ -244,12 +238,11 @@ func dfsOrder(sub *topology.Complex, domains [][]topology.Vertex) []topology.Ver
 		visited[v] = true
 		order = append(order, v)
 		ns := append([]topology.Vertex(nil), adj[v]...)
-		sort.Slice(ns, func(i, j int) bool {
-			di, dj := len(domains[ns[i]]), len(domains[ns[j]])
-			if di != dj {
-				return di < dj
+		slices.SortFunc(ns, func(a, b topology.Vertex) int {
+			if d := len(domains[a]) - len(domains[b]); d != 0 {
+				return d
 			}
-			return ns[i] < ns[j]
+			return int(a - b)
 		})
 		for _, u := range ns {
 			if !visited[u] {
@@ -337,6 +330,6 @@ func ValidateAgreement(a *topology.Complex, res *AgreementResult, participating 
 
 func sortedVerts(vs []topology.Vertex) []topology.Vertex {
 	cp := append([]topology.Vertex(nil), vs...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+	slices.Sort(cp)
 	return cp
 }

@@ -74,7 +74,7 @@ func (cl *vertexClasses) domains() [][]topology.Vertex {
 }
 
 // buildEdges fills st.edges with the 1-simplices of the level in
-// simplexLess order — the order AllSimplices lists edges in, so AC-3 visits
+// lexicographic order — the order AllSimplices lists edges in, so AC-3 visits
 // them identically — and gives each the support table of its class pair,
 // built on first use. Each facet pair u < v is bucketed under u; sorting
 // and compacting each (short) bucket then yields the edges in order

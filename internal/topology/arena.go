@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-	"strconv"
 )
 
 // This file holds the index-based arena representation behind the
@@ -110,34 +109,43 @@ func encodeVerts(buf []byte, vs []Vertex) []byte {
 	return buf
 }
 
-// cmpFacetOrder reproduces the historical Seal facet order — descending
-// size, then ascending comma-joined-decimal string order of the sorted
-// vertex lists — without materializing the strings. For equal-length
-// facets, comparing the decimal renderings element-wise is equivalent to
-// comparing the joined strings: ',' sorts below every digit, so a decimal
-// token that is a strict prefix of another compares below it in both views.
-func cmpFacetOrder(a, b []Vertex) int {
-	if len(a) != len(b) {
-		if len(a) > len(b) {
-			return -1
+// decimalRanks returns rank[v], the position of v's decimal rendering among
+// the renderings of 0…n−1 in byte order ("0" < "1" < "10" < "100" < "11" <
+// … < "2"), by walking the decimal digit trie in preorder: O(n), no strings.
+func decimalRanks(n int) []int32 {
+	rank := make([]int32, n)
+	cur := 1 // rank[0] = 0: "0" sorts first and prefixes nothing
+	for r := int32(1); int(r) < n; r++ {
+		rank[cur] = r
+		if cur*10 < n {
+			cur *= 10 // first child: append a 0 digit
+			continue
 		}
-		return 1
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			if r := cmpDecimal(a[i], b[i]); r != 0 {
-				return r
-			}
+		for cur%10 == 9 || cur+1 >= n {
+			cur /= 10 // no next sibling: climb
 		}
+		cur++
 	}
-	return 0
+	return rank
 }
 
-func cmpDecimal(x, y Vertex) int {
-	var bx, by [24]byte
-	sx := strconv.AppendInt(bx[:0], int64(x), 10)
-	sy := strconv.AppendInt(by[:0], int64(y), 10)
-	return slices.Compare(sx, sy)
+// sortFacetsCanonical puts facets in the historical Seal order — descending
+// size, then ascending comma-joined-decimal string order of the sorted
+// vertex lists — comparing decimal ranks element-wise. That equals the
+// joined-string order because ',' sorts below every digit.
+func sortFacetsCanonical(facets [][]Vertex, nverts int) {
+	rank := decimalRanks(nverts)
+	slices.SortFunc(facets, func(a, b []Vertex) int {
+		if len(a) != len(b) {
+			return len(b) - len(a)
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return int(rank[a[i]]) - int(rank[b[i]])
+			}
+		}
+		return 0
+	})
 }
 
 // carrierUnion returns the sorted union of the carriers of the face's
@@ -339,12 +347,15 @@ func (m *sdsMerger) absorb(r *sdsFacetOut) {
 		}
 		m.vertMap[li] = v
 	}
+	// One backing array for all of this source facet's subdivision facets;
+	// each facet is capacity-capped, so an append can never run into its
+	// neighbour.
+	backing := make([]Vertex, len(r.fData))
+	for i, lv := range r.fData {
+		backing[i] = m.vertMap[lv]
+	}
 	for i := 0; i+1 < len(r.fOff); i++ {
-		lf := r.fData[r.fOff[i]:r.fOff[i+1]]
-		f := make([]Vertex, len(lf))
-		for x, li := range lf {
-			f[x] = m.vertMap[li]
-		}
+		f := backing[r.fOff[i]:r.fOff[i+1]:r.fOff[i+1]]
 		slices.Sort(f)
 		m.out.facets = append(m.out.facets, f)
 	}

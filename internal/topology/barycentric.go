@@ -66,8 +66,7 @@ func Bsd(c *Complex) *Complex {
 				mask |= 1 << uint(idx)
 				chainBuf = append(chainBuf, internFace(f, mask))
 			}
-			facet := make([]Vertex, len(chainBuf))
-			copy(facet, chainBuf)
+			facet := slices.Clone(chainBuf)
 			slices.Sort(facet)
 			out.facets = append(out.facets, facet)
 		})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -144,15 +143,14 @@ func (c *Complex) Seal() *Complex {
 		return c
 	}
 	// Sort by descending size, then by the decimal-string order of the
-	// vertex lists (cmpFacetOrder reproduces the historical comma-joined
-	// string comparison without building the strings). Duplicates land
-	// adjacent, so deduplication is a linear scan, and a containment check
-	// against already-retained facets absorbs proper faces.
-	sort.Slice(c.facets, func(i, j int) bool { return cmpFacetOrder(c.facets[i], c.facets[j]) < 0 })
+	// vertex lists (sortFacetsCanonical). Duplicates land adjacent, so
+	// deduplication is a linear scan, and a containment check against
+	// already-retained facets absorbs proper faces.
+	sortFacetsCanonical(c.facets, len(c.verts))
 	inc := make([][]int, len(c.verts))
 	kept := c.facets[:0]
 	for i, f := range c.facets {
-		if i > 0 && cmpFacetOrder(c.facets[i-1], f) == 0 {
+		if i > 0 && slices.Equal(c.facets[i-1], f) {
 			continue
 		}
 		if len(kept) > 0 && containedInAny(f, inc, kept) {
@@ -182,7 +180,7 @@ func (c *Complex) sealTrusted() *Complex {
 	if c.sealed {
 		return c
 	}
-	sort.Slice(c.facets, func(i, j int) bool { return cmpFacetOrder(c.facets[i], c.facets[j]) < 0 })
+	sortFacetsCanonical(c.facets, len(c.verts))
 	counts := make([]int32, len(c.verts))
 	total := 0
 	for _, f := range c.facets {
@@ -196,7 +194,7 @@ func (c *Complex) sealTrusted() *Complex {
 	off := 0
 	for v := range inc {
 		n := int(counts[v])
-		inc[v] = backing[off:off : off+n]
+		inc[v] = backing[off : off : off+n]
 		off += n
 	}
 	for i, f := range c.facets {
@@ -327,14 +325,15 @@ func (c *Complex) IsChromatic() bool {
 			return false
 		}
 	}
+	var cols []int
 	for _, f := range c.facets {
-		seen := make(map[int]struct{}, len(f))
+		cols = cols[:0]
 		for _, v := range f {
-			col := c.verts[v].color
-			if _, dup := seen[col]; dup {
-				return false
-			}
-			seen[col] = struct{}{}
+			cols = append(cols, c.verts[v].color)
+		}
+		slices.Sort(cols)
+		if len(slices.Compact(cols)) != len(f) {
+			return false
 		}
 	}
 	return true
@@ -362,18 +361,39 @@ func (c *Complex) HasSimplex(vs []Vertex) bool {
 
 // AllSimplices returns every simplex of the complex grouped by dimension:
 // result[d] lists the d-dimensional simplices, each sorted, in a
-// deterministic order.
+// deterministic order (lexicographic on the vertex lists).
 func (c *Complex) AllSimplices() [][][]Vertex {
 	c.mustBeSealed("AllSimplices")
 	dim := c.Dimension()
 	if dim < 0 {
 		return nil
 	}
-	// Dedup across facets by the packed binary encoding of the vertex list:
-	// the map lookup on string(buf) does not allocate, and only distinct
-	// simplices pay for an inserted key.
-	seen := make(map[string]struct{})
 	byDim := make([][][]Vertex, dim+1)
+	c.forEachSimplex(func(s []Vertex) {
+		byDim[len(s)-1] = append(byDim[len(s)-1], slices.Clone(s))
+	})
+	for _, ss := range byDim {
+		slices.SortFunc(ss, slices.Compare[[]Vertex])
+	}
+	return byDim
+}
+
+// FVector returns the number of simplices in each dimension: f[d] is the
+// count of d-simplices. It counts without copying or sorting a simplex.
+func (c *Complex) FVector() []int {
+	c.mustBeSealed("FVector")
+	f := make([]int, c.Dimension()+1)
+	c.forEachSimplex(func(s []Vertex) { f[len(s)-1]++ })
+	return f
+}
+
+// forEachSimplex calls fn once per distinct simplex, in first-occurrence
+// order over the facets. Faces shared by several facets are deduplicated
+// by the packed binary encoding of the vertex list: the map lookup on
+// string(buf) does not allocate, and only distinct simplices pay for an
+// inserted key. fn must not retain its argument.
+func (c *Complex) forEachSimplex(fn func([]Vertex)) {
+	seen := make(map[string]struct{})
 	buf := make([]byte, 0, 64)
 	for _, f := range c.facets {
 		forEachSubset(f, func(sub []Vertex) {
@@ -382,27 +402,9 @@ func (c *Complex) AllSimplices() [][][]Vertex {
 				return
 			}
 			seen[string(buf)] = struct{}{}
-			cp := append([]Vertex(nil), sub...)
-			byDim[len(cp)-1] = append(byDim[len(cp)-1], cp)
+			fn(sub)
 		})
 	}
-	for d := range byDim {
-		sort.Slice(byDim[d], func(i, j int) bool {
-			return simplexLess(byDim[d][i], byDim[d][j])
-		})
-	}
-	return byDim
-}
-
-// FVector returns the number of simplices in each dimension: f[d] is the
-// count of d-simplices.
-func (c *Complex) FVector() []int {
-	all := c.AllSimplices()
-	f := make([]int, len(all))
-	for d, ss := range all {
-		f[d] = len(ss)
-	}
-	return f
 }
 
 // EulerCharacteristic returns Σ (−1)^d f_d.
@@ -439,17 +441,13 @@ func (c *Complex) VerticesOfColor(color int) []Vertex {
 
 // Colors returns the sorted set of colors used in the complex.
 func (c *Complex) Colors() []int {
-	set := make(map[int]struct{})
+	out := make([]int, len(c.verts))
 	for i := range c.verts {
 		// Indexed field read, not a struct copy: see IsChromatic.
-		set[c.verts[i].color] = struct{}{}
+		out[i] = c.verts[i].color
 	}
-	out := make([]int, 0, len(set))
-	for col := range set {
-		out = append(out, col)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Link returns the link of simplex s as a new complex: the simplices disjoint
@@ -458,18 +456,15 @@ func (c *Complex) Colors() []int {
 func (c *Complex) Link(s []Vertex) *Complex {
 	c.mustBeSealed("Link")
 	c.ensureKeys()
-	in := make(map[Vertex]struct{}, len(s))
-	for _, v := range s {
-		in[v] = struct{}{}
-	}
+	ss := sortedCopy(s)
 	link := NewComplex()
 	for _, f := range c.facets {
-		if !isSubset(sortedCopy(s), f) {
+		if !isSubset(ss, f) {
 			continue
 		}
 		var rest []Vertex
 		for _, v := range f {
-			if _, ok := in[v]; !ok {
+			if !slices.Contains(ss, v) {
 				rest = append(rest, v)
 			}
 		}
@@ -537,67 +532,30 @@ func (c *Complex) IsConnected() bool {
 func (c *Complex) Equal(o *Complex) bool {
 	c.mustBeSealed("Equal")
 	o.mustBeSealed("Equal")
-	c.ensureByKey()
-	o.ensureByKey()
 	if len(c.verts) != len(o.verts) || len(c.facets) != len(o.facets) {
 		return false
 	}
-	for _, a := range c.verts {
-		ov, ok := o.byKey[a.key]
-		if !ok || o.verts[ov].color != a.color {
+	c.ensureKeys()
+	o.ensureKeys()
+	corder, crank, _ := c.keyOrder()
+	oorder, orank, _ := o.keyOrder()
+	for r, v := range corder {
+		a, b := &c.verts[v], &o.verts[oorder[r]]
+		if a.key != b.key || a.color != b.color {
 			return false
 		}
 	}
-	// Compare facets as sets of key-sets.
-	mine := make(map[string]struct{}, len(c.facets))
-	for _, f := range c.facets {
-		mine[c.facetKeyString(f)] = struct{}{}
-	}
-	for _, f := range o.facets {
-		if _, ok := mine[o.facetKeyString(f)]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// facetKeyString canonically encodes a facet by its vertex keys. The caller
-// must have materialized keys (ensureKeys).
-func (c *Complex) facetKeyString(f []Vertex) string {
-	keys := make([]string, len(f))
-	for i, v := range f {
-		keys[i] = c.verts[v].key
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\x1f")
+	// Equal key sets: a key rank names the same vertex in both complexes,
+	// so equal facet sets have equal sorted rank tuples.
+	ct, coff := c.facetTuples(crank, false, corder)
+	ot, ooff := o.facetTuples(orank, false, oorder)
+	return slices.Equal(ct, ot) && slices.Equal(coff, ooff)
 }
 
 func (c *Complex) mustBeSealed(op string) {
 	if !c.sealed {
 		panic("topology: " + op + " called before Seal")
 	}
-}
-
-// simplexKey canonically encodes a sorted vertex slice.
-func simplexKey(s []Vertex) string {
-	var b strings.Builder
-	for i, v := range s {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	return b.String()
-}
-
-// simplexLess orders simplices lexicographically.
-func simplexLess(a, b []Vertex) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 func sortedCopy(s []Vertex) []Vertex {

@@ -255,3 +255,21 @@ func TestVerticesOfColorAndColors(t *testing.T) {
 		t.Errorf("Colors() = %v, want [0 1 2]", cols)
 	}
 }
+
+var (
+	hashSink string
+	fvecSink []int
+)
+
+// BenchmarkComplexInvariants times what a complex query computes on top of
+// the subdivision: the canonical hash and the f-vector of SDS³(s²).
+func BenchmarkComplexInvariants(b *testing.B) {
+	c := SDSPow(Simplex(2), 3)
+	c.CanonicalHash() // materialize keys outside the loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink = c.CanonicalHash()
+		fvecSink = c.FVector()
+	}
+}

@@ -195,8 +195,8 @@ func TestCanonicalHashMatchesString(t *testing.T) {
 	}
 }
 
-// TestCanonicalFacetOrderMatchesLegacy pins the virtual byte-walk facet
-// comparator (cmpKeyTuples) against the legacy materialize-and-sort order.
+// TestCanonicalFacetOrderMatchesLegacy pins the key-rank facet order of the
+// canonical encoding against the legacy materialize-and-sort order.
 func TestCanonicalFacetOrderMatchesLegacy(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		c := SDS(RandomChromaticComplex(rand.New(rand.NewSource(seed))))

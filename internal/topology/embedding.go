@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Embedding assigns every vertex of a complex barycentric coordinates with
@@ -78,15 +79,15 @@ func Mesh(c *Complex, emb Embedding) (float64, error) {
 	if len(emb) != c.NumVertices() {
 		return 0, fmt.Errorf("topology: embedding size mismatch")
 	}
-	all := c.AllSimplices()
-	if len(all) < 2 {
-		return 0, nil
-	}
+	// Every edge lies in a facet, so the facets' vertex pairs cover them.
 	max := 0.0
-	for _, e := range all[1] {
-		d := euclid(emb[e[0]], emb[e[1]])
-		if d > max {
-			max = d
+	for _, f := range c.Facets() {
+		for i, u := range f {
+			for _, w := range f[i+1:] {
+				if d := euclid(emb[u], emb[w]); d > max {
+					max = d
+				}
+			}
 		}
 	}
 	return max, nil
@@ -120,15 +121,13 @@ func CheckEmbedding(c *Complex, emb Embedding) error {
 		if math.Abs(sum-1) > eps {
 			return fmt.Errorf("topology: vertex %d coordinates sum to %g", v, sum)
 		}
-		carrier := make(map[Vertex]bool)
-		for _, b := range c.Carrier(Vertex(v)) {
-			carrier[b] = true
-		}
+		carrier := c.Carrier(Vertex(v))
 		for i, x := range coord {
-			if x > eps && !carrier[Vertex(i)] {
+			in := slices.Contains(carrier, Vertex(i))
+			if x > eps && !in {
 				return fmt.Errorf("topology: vertex %d has weight %g outside carrier", v, x)
 			}
-			if carrier[Vertex(i)] && x < eps {
+			if in && x < eps {
 				return fmt.Errorf("topology: vertex %d misses weight on carrier vertex %d", v, i)
 			}
 		}

@@ -6,12 +6,16 @@ package topology
 // vertex is interned eagerly through MustAddVertex on its canonical string
 // key, carriers through SetCarrier, and facets through the untrusted Seal.
 // Because the explicit construction path of Complex is byte-for-byte the
-// seed's (AddVertex/SetCarrier/AddSimplex/Seal semantics are unchanged),
-// these functions reproduce the seed's output exactly — vertex order, facet
-// order, canonical encoding — and the harness pins the arena path against
-// them.
+// seed's (AddVertex/SetCarrier/AddSimplex/Seal semantics are unchanged;
+// Seal's rank-based facet order is pinned against the seed's decimal-string
+// comparator in order_oracle_test.go), these functions reproduce the seed's
+// output exactly — vertex order, facet order, canonical encoding — and the
+// harness pins the arena path against them.
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // legacySDSStructured is the seed's string-keyed SDSStructured.
 func legacySDSStructured(c *Complex) *SDSLevel {
@@ -130,15 +134,27 @@ type errMissingBarycenter string
 
 func (e errMissingBarycenter) Error() string { return "missing barycenter " + string(e) }
 
-// legacyCanonicalSortKeys reproduces the seed's facet ordering inside
-// CanonicalString — materialized facetKeyStrings under sort.Strings — so
-// the virtual byte-walk comparator can be differentially pinned against it.
+// legacyCanonicalFacetOrder reproduces the seed's facet ordering inside
+// CanonicalString — materialized joined key strings under sort.Strings —
+// so the rank-based order and its byte-walk fallback can be differentially
+// pinned against it.
 func legacyCanonicalFacetOrder(c *Complex) []string {
 	c.ensureKeys()
 	fk := make([]string, len(c.facets))
 	for i, f := range c.facets {
-		fk[i] = c.facetKeyString(f)
+		fk[i] = legacyFacetKeyString(c, f)
 	}
 	sort.Strings(fk)
 	return fk
+}
+
+// legacyFacetKeyString encodes a facet by its sorted vertex keys joined
+// with 0x1f; the caller must have materialized keys.
+func legacyFacetKeyString(c *Complex, f []Vertex) string {
+	keys := make([]string, len(f))
+	for i, v := range f {
+		keys[i] = c.verts[v].key
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "\x1f")
 }

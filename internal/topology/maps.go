@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SimplicialMap is a vertex map between two sealed complexes, candidate for
@@ -42,16 +42,12 @@ func (m *SimplicialMap) Validate() error {
 // ImageSimplex returns the image of a simplex with duplicates collapsed,
 // sorted.
 func (m *SimplicialMap) ImageSimplex(s []Vertex) []Vertex {
-	set := make(map[Vertex]struct{}, len(s))
-	for _, v := range s {
-		set[m.Image[v]] = struct{}{}
+	img := make([]Vertex, len(s))
+	for i, v := range s {
+		img[i] = m.Image[v]
 	}
-	img := make([]Vertex, 0, len(set))
-	for v := range set {
-		img = append(img, v)
-	}
-	sort.Slice(img, func(i, j int) bool { return img[i] < img[j] })
-	return img
+	slices.Sort(img)
+	return slices.Compact(img)
 }
 
 // ColorPreserving reports whether every vertex maps to a vertex of the same
@@ -86,7 +82,7 @@ func (m *SimplicialMap) CarrierPreserving() bool {
 		return false
 	}
 	for v, w := range m.Image {
-		if !equalVertexSets(m.From.Carrier(Vertex(v)), m.To.Carrier(w)) {
+		if !slices.Equal(m.From.Carrier(Vertex(v)), m.To.Carrier(w)) {
 			return false
 		}
 	}
@@ -119,18 +115,6 @@ func (m *SimplicialMap) Compose(n *SimplicialMap) (*SimplicialMap, error) {
 		out.Image[v] = n.Image[w]
 	}
 	return out, nil
-}
-
-func equalVertexSets(a, b []Vertex) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SDSToBsd returns the canonical carrier-preserving simplicial map

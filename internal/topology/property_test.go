@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -268,4 +270,16 @@ func TestLinkVertexCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// simplexKey canonically encodes a sorted vertex slice.
+func simplexKey(s []Vertex) string {
+	var b strings.Builder
+	for i, v := range s {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d", v)
+	}
+	return b.String()
 }
