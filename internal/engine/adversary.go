@@ -180,12 +180,8 @@ func RunAdversary(req AdversaryRequest) (*AdversaryResponse, error) {
 		WaitFree:   be == nil,
 		Outcome:    outcome,
 	}
-	trace := ctl.Trace()
-	resp.TraceLen = len(trace)
-	if len(trace) > tracePrefixLen {
-		trace = trace[:tracePrefixLen]
-	}
-	resp.TracePrefix = append([]int(nil), trace...)
+	resp.TraceLen = ctl.TotalSteps() // one trace entry per granted step
+	resp.TracePrefix = ctl.TracePrefix(tracePrefixLen)
 	resp.Statuses = make([]string, n)
 	for p := 0; p < n; p++ {
 		resp.Statuses[p] = ctl.StatusOf(p).String()

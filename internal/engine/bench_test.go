@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -75,5 +76,50 @@ func BenchmarkEngineSolveConcurrent(b *testing.B) {
 			}(c)
 		}
 		wg.Wait()
+	}
+}
+
+// BenchmarkAdversaryStarvation replays the costliest class of the
+// service's cluster-fresh workload: setconsensus under laggard at procs=4
+// with a 20000-step budget. The laggard keeps one process running almost
+// every step, so the time is the scheduler's per-step cost.
+func BenchmarkAdversaryStarvation(b *testing.B) {
+	req := AdversaryRequest{Algo: "setconsensus", Adversary: "laggard", Procs: 4, Seed: 1, MaxSteps: 20000}
+	for i := 0; i < b.N; i++ {
+		if _, err := RunAdversary(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// adversaryMix is a fixed seeded sample of the cluster-fresh draw space:
+// every algo, the four adversaries that workload draws, procs 2–4, and a
+// 20000-step budget.
+func adversaryMix() []AdversaryRequest {
+	rng := rand.New(rand.NewSource(15))
+	advs := []string{"random", "round-robin", "laggard", "priority-inversion"}
+	algos := AdversaryAlgos()
+	reqs := make([]AdversaryRequest, 32)
+	for i := range reqs {
+		reqs[i] = AdversaryRequest{
+			Algo:      algos[rng.Intn(len(algos))],
+			Adversary: advs[rng.Intn(len(advs))],
+			Procs:     2 + rng.Intn(3),
+			Seed:      rng.Int63(),
+			MaxSteps:  20000,
+		}
+	}
+	return reqs
+}
+
+// BenchmarkAdversaryMix replays adversaryMix once per op.
+func BenchmarkAdversaryMix(b *testing.B) {
+	reqs := adversaryMix()
+	for i := 0; i < b.N; i++ {
+		for _, req := range reqs {
+			if _, err := RunAdversary(req); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"waitfree/internal/model"
+	"waitfree/internal/sched"
 	"waitfree/internal/solver"
 )
 
@@ -94,12 +95,15 @@ func (r ConvergeRequest) EstimateCost() (int64, error) {
 }
 
 // EstimateCost returns the cost of an adversary replay: one emulated step
-// per budgeted step per process — far below any facet-denominated budget,
-// which is the point: replays are always cheap to admit.
+// per budgeted step per process. MaxSteps 0 runs sched.DefaultMaxSteps, so
+// it is priced at that budget; a negative (unlimited) budget is unbounded.
 func (r AdversaryRequest) EstimateCost() (int64, error) {
 	steps := int64(r.MaxSteps)
-	if steps <= 0 {
-		steps = 1024 // the replay's own default budget bounds it
+	switch {
+	case steps < 0:
+		return CostUnbounded, nil
+	case steps == 0:
+		steps = sched.DefaultMaxSteps
 	}
 	return satMul(int64(r.Procs)+1, steps), nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"waitfree/internal/sched"
 )
 
 // TestComplexCostMatchesGoldenTable pins the estimator against the same
@@ -70,5 +72,32 @@ func TestCostInvalidSpec(t *testing.T) {
 func TestCostSaturates(t *testing.T) {
 	if got := chainCost(1, 9, 500); got != CostUnbounded {
 		t.Fatalf("chainCost(1, 9, 500) = %d, want CostUnbounded", got)
+	}
+}
+
+// TestAdversaryCostPricesTheRunBudget: a replay is priced at the budget it
+// actually runs under. MaxSteps 0 runs sched.DefaultMaxSteps, so it costs
+// as much as asking for that budget explicitly; an unlimited budget is
+// unbounded.
+func TestAdversaryCostPricesTheRunBudget(t *testing.T) {
+	req := AdversaryRequest{Algo: "setconsensus", Adversary: "laggard", Procs: 3}
+	def, err := req.EstimateCost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(4 * sched.DefaultMaxSteps); def != want {
+		t.Fatalf("MaxSteps 0: cost %d, want %d (4 × DefaultMaxSteps)", def, want)
+	}
+	req.MaxSteps = sched.DefaultMaxSteps
+	if explicit, _ := req.EstimateCost(); explicit != def {
+		t.Fatalf("explicit default budget costs %d, MaxSteps 0 costs %d", explicit, def)
+	}
+	req.MaxSteps = 20000
+	if got, _ := req.EstimateCost(); got != 4*20000 {
+		t.Fatalf("MaxSteps 20000: cost %d, want %d", got, 4*20000)
+	}
+	req.MaxSteps = -1
+	if got, _ := req.EstimateCost(); got != CostUnbounded {
+		t.Fatalf("unlimited budget: cost %d, want CostUnbounded", got)
 	}
 }

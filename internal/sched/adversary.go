@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,9 +11,10 @@ import (
 
 // Adversary chooses which process runs next. Pick receives the ready set
 // (ascending process ids, never empty) and the per-process granted-step
-// counts, and must return a member of ready. Implementations must be
-// deterministic functions of their own state and their arguments — that is
-// what makes schedules reproducible.
+// counts, and must return a member of ready. Both slices belong to the
+// controller and change after Pick returns; copy them to keep them.
+// Implementations must be deterministic functions of their own state and
+// their arguments — that is what makes schedules reproducible.
 type Adversary interface {
 	Name() string
 	Pick(ready []int, steps []int) int
@@ -78,7 +80,7 @@ func (s *Solo) Name() string { return fmt.Sprintf("solo-%d", s.P) }
 
 // Pick implements Adversary.
 func (s *Solo) Pick(ready, steps []int) int {
-	if contains(ready, s.P) {
+	if slices.Contains(ready, s.P) {
 		return s.P
 	}
 	return s.rr.Pick(ready, steps)

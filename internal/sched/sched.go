@@ -15,20 +15,23 @@
 //
 // Instrumented code calls Point(gate) at each shared-memory step point. A
 // nil gate is a no-op, so production paths pay one nil check and otherwise
-// run on the live Go scheduler unchanged. Under a Controller, Point parks
-// the calling goroutine until the adversary grants it the token; between two
+// run on the live Go scheduler unchanged. Under a Controller, Point returns
+// only when the adversary grants the caller its next step; between two
 // grants exactly one process runs, so the code between consecutive step
 // points executes atomically with respect to the other controlled processes.
 //
 // # Mechanics and invariants
 //
-// The Controller hands a single token between goroutines: it grants one
-// process, waits for that process to park at its next step point (or finish,
-// or crash), and only then consults the Adversary again. Crashes are
-// injected by poisoning a grant: the victim's Step call panics with a
-// private sentinel that the Go wrapper recovers, turning the goroutine into
-// a fail-stopped process mid-protocol — exactly the wait-free adversary of
-// the paper.
+// A single token passes between goroutines, and whoever holds it consults
+// the Adversary for the next step: Wait for the first, then each process at
+// its step points (and when it finishes or crashes). A process the
+// adversary picks again keeps running without a goroutine switch; any
+// other pick hands the token straight to that process. Crashes are
+// injected by poisoning a grant, or by the picked holder itself: the
+// victim's Step call panics with a private sentinel that the Go wrapper
+// recovers, turning the goroutine into a fail-stopped process
+// mid-protocol — exactly the wait-free adversary of the paper. A crash
+// always unwinds completely before the next decision.
 //
 // Two rules keep this sound:
 //
@@ -48,6 +51,7 @@ package sched
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 )
 
@@ -76,8 +80,13 @@ func Yield(g Gate) {
 	runtime.Gosched()
 }
 
-// crashSignal is the sentinel panic injected into a process chosen to crash.
-type crashSignal struct{ proc int }
+// crashSignal is the sentinel panic that fail-stops a process. poisoned
+// marks a crash delivered through a grant by another token holder, as
+// opposed to one the process took on itself while holding the token.
+type crashSignal struct {
+	proc     int
+	poisoned bool
+}
 
 // Status of a controlled process.
 type Status int
@@ -130,23 +139,14 @@ type Config struct {
 // small enough to turn an un-scheduled livelock into a crisp error.
 const DefaultMaxSteps = 1 << 20
 
-type evKind int
-
-const (
-	evPark  evKind = iota // reached a step point (including the initial park)
-	evDone                // body returned
-	evCrash               // crash sentinel recovered
-)
-
-type event struct {
-	proc int
-	kind evKind
-}
-
 // Controller serializes controlled goroutines into one deterministic
 // schedule. It implements Gate; pass it (or hand it to SetGate hooks) as the
 // step-point sink of the runtime under test. A Controller is single-use:
 // spawn with Go, run the schedule with Wait, then inspect.
+//
+// The scheduling decisions are taken by whichever goroutine holds the token
+// (see next), so every field below is written only by the token holder;
+// the channel operations that move the token order those writes.
 type Controller struct {
 	n        int
 	adv      Adversary
@@ -154,16 +154,23 @@ type Controller struct {
 	maxSteps int
 
 	gates  []chan bool // per-process grant; false poisons the grant (crash)
-	events chan event
+	parked chan int    // initial parks, and acks of crashed processes
+	done   chan struct{}
 
-	current  int // token holder, valid between grant and next event
+	current  int // token holder, valid between grant and its next step point
 	steps    []int
 	total    int
 	status   []Status
 	spawned  int
-	trace    []int // granted process sequence, for determinism audits
+	ready    []int      // readyProcs' buffer, reused every decision
+	trace    []traceRun // granted process sequence, run-length encoded
+	err      error      // *BudgetError once the budget tripped
+	misuse   string     // set when the adversary broke its contract
 	finished atomic.Bool
 }
+
+// traceRun is n consecutive grants to proc.
+type traceRun struct{ proc, n int }
 
 // New returns a Controller for cfg.
 func New(cfg Config) *Controller {
@@ -191,10 +198,12 @@ func New(cfg Config) *Controller {
 		crashAt:  crashAt,
 		maxSteps: maxSteps,
 		gates:    make([]chan bool, cfg.Procs),
-		events:   make(chan event, cfg.Procs),
+		parked:   make(chan int, cfg.Procs),
+		done:     make(chan struct{}),
 		current:  -1,
 		steps:    make([]int, cfg.Procs),
 		status:   make([]Status, cfg.Procs),
+		ready:    make([]int, 0, cfg.Procs),
 	}
 	for i := range c.gates {
 		c.gates[i] = make(chan bool)
@@ -203,8 +212,8 @@ func New(cfg Config) *Controller {
 }
 
 // Go spawns body as controlled process proc. The goroutine parks before
-// executing any of body; it runs only when granted by Wait's scheduling
-// loop. All Go calls must precede Wait.
+// executing any of body; it runs only once the schedule grants it. All Go
+// calls must precede Wait.
 func (c *Controller) Go(proc int, body func()) {
 	if proc < 0 || proc >= c.n {
 		panic(fmt.Sprintf("sched: Go with proc %d out of range [0,%d)", proc, c.n))
@@ -217,121 +226,168 @@ func (c *Controller) Go(proc int, body func()) {
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); ok {
-					c.events <- event{proc, evCrash}
+				sig, ok := r.(crashSignal)
+				if !ok {
+					panic(r)
+				}
+				if sig.poisoned {
+					// The token holder that poisoned the grant waits for this
+					// ack; it keeps the token.
+					c.parked <- proc
 					return
 				}
-				panic(r)
+				// Crashed by its own decision: the token is still ours, and
+				// the goroutine has unwound, so the schedule may go on.
+				c.status[proc] = StatusCrashed
+				c.next(proc)
 			}
 		}()
 		// Initial park: wait for the first grant before touching body.
-		c.events <- event{proc, evPark}
+		c.parked <- proc
 		if alive := <-c.gates[proc]; !alive {
-			panic(crashSignal{proc})
+			panic(crashSignal{proc: proc, poisoned: true})
 		}
 		body()
-		c.events <- event{proc, evDone}
+		c.status[proc] = StatusDone
+		c.next(proc)
 	}()
 }
 
 // Step implements Gate. It must be called from the goroutine currently
-// holding the token; it reports the step point to the controller and parks
-// until the next grant. After Wait has returned (or before any grant), Step
-// is a pass-through no-op so post-run inspection code can reuse gated
-// objects.
+// holding the token. The caller becomes ready and takes the next scheduling
+// decision itself: when the adversary picks it again it keeps running with
+// no goroutine switch; otherwise it hands the token over and parks until
+// its next grant. After Wait has returned, Step is a pass-through no-op so
+// post-run inspection code can reuse gated objects.
 func (c *Controller) Step() {
 	if c.finished.Load() {
 		return
 	}
-	proc := c.current
-	c.events <- event{proc, evPark}
-	if alive := <-c.gates[proc]; !alive {
-		panic(crashSignal{proc})
+	me := c.current
+	c.status[me] = StatusReady
+	switch c.next(me) {
+	case keepRunning:
+		return
+	case crashSelf:
+		panic(crashSignal{proc: me})
+	}
+	if alive := <-c.gates[me]; !alive {
+		panic(crashSignal{proc: me, poisoned: true})
 	}
 }
 
-// Wait runs the schedule to completion: it repeatedly asks the adversary for
-// the next process, grants it one step, and waits for it to park, finish, or
-// crash. It returns nil when every process is done or crashed by plan, and a
-// *BudgetError when MaxSteps ran out (after crashing all survivors so their
-// goroutines exit).
+// Wait runs the schedule to completion. It rendezvouses with every spawned
+// process, takes the first scheduling decision, and then waits while the
+// processes pass the token among themselves. It returns nil when every
+// process is done or crashed by plan, and a *BudgetError when MaxSteps ran
+// out (after crashing all survivors so their goroutines exit).
 func (c *Controller) Wait() error {
 	defer c.finished.Store(true)
 	// Rendezvous: every spawned process parks before the first decision, so
 	// the initial ready set — and hence the whole schedule — is independent
 	// of OS scheduling.
 	for parked := 0; parked < c.spawned; parked++ {
-		<-c.events // necessarily evPark from a distinct process
+		<-c.parked
 	}
+	c.next(-1)
+	<-c.done
+	if c.misuse != "" {
+		panic(c.misuse)
+	}
+	return c.err
+}
+
+// decision is what next leaves its caller to do.
+type decision int
+
+const (
+	handedOff   decision = iota // the token left the caller, or the schedule ended
+	keepRunning                 // the caller was granted the next step
+	crashSelf                   // the caller must fail-stop, then call next again
+)
+
+// next takes scheduling decisions on behalf of the token holder me (-1 for
+// Wait) until the token leaves it. Each decision asks the adversary exactly
+// once, with the same ready set and step counts a central scheduler would
+// pass. Crashes of other processes and the budget's kills are synchronous:
+// the victim unwinds completely before the next decision. me itself cannot
+// be killed from here, so when it must crash, next returns crashSelf and
+// the caller re-enters after unwinding.
+func (c *Controller) next(me int) decision {
 	for {
 		ready := c.readyProcs()
 		if len(ready) == 0 {
-			return nil
+			close(c.done)
+			return handedOff
 		}
 		if c.maxSteps >= 0 && c.total >= c.maxSteps {
+			if c.err == nil {
+				c.err = &BudgetError{MaxSteps: c.maxSteps, Steps: c.StepCounts(), Starved: slices.Clone(ready)}
+			}
+			// Ascending order, as ready is: the processes after me are
+			// crashed when me re-enters here after unwinding.
 			for _, p := range ready {
+				if p == me {
+					return crashSelf
+				}
 				c.kill(p)
 			}
-			return &BudgetError{MaxSteps: c.maxSteps, Steps: c.StepCounts(), Starved: ready}
+			continue
 		}
 		p := c.adv.Pick(ready, c.steps)
-		if !contains(ready, p) {
-			panic(fmt.Sprintf("sched: adversary %s picked %d, not in ready set %v", c.adv.Name(), p, ready))
+		if !slices.Contains(ready, p) {
+			// Surface the panic on Wait's goroutine, as a central
+			// scheduler would; the processes stay parked.
+			c.misuse = fmt.Sprintf("sched: adversary %s picked %d, not in ready set %v", c.adv.Name(), p, ready)
+			close(c.done)
+			return handedOff
 		}
 		if c.crashAt[p] >= 0 && c.steps[p] >= c.crashAt[p] {
+			if p == me {
+				return crashSelf
+			}
 			c.kill(p)
 			continue
 		}
 		c.steps[p]++
 		c.total++
-		c.trace = append(c.trace, p)
+		if last := len(c.trace) - 1; last >= 0 && c.trace[last].proc == p {
+			c.trace[last].n++
+		} else {
+			c.trace = append(c.trace, traceRun{p, 1})
+		}
 		c.status[p] = StatusRunning
+		if p == me {
+			return keepRunning
+		}
 		c.current = p
 		c.gates[p] <- true
-		ev := <-c.events
-		switch ev.kind {
-		case evPark:
-			c.status[ev.proc] = StatusReady
-		case evDone:
-			c.status[ev.proc] = StatusDone
-		case evCrash:
-			c.status[ev.proc] = StatusCrashed
-		}
+		return handedOff
 	}
 }
 
-// kill poisons proc's next grant and waits for its goroutine to unwind.
+// kill poisons parked process p's grant and waits for its goroutine to
+// unwind.
 func (c *Controller) kill(p int) {
 	c.gates[p] <- false
-	for {
-		ev := <-c.events
-		if ev.proc == p && ev.kind == evCrash {
-			c.status[p] = StatusCrashed
-			return
-		}
-		// Only p can emit events here (it alone was granted); anything else
-		// is a misuse of the controller.
-		panic(fmt.Sprintf("sched: unexpected event from P%d while crashing P%d", ev.proc, p))
+	if q := <-c.parked; q != p {
+		// Only p can report here (it alone was signalled); anything else is
+		// a misuse of the controller.
+		panic(fmt.Sprintf("sched: unexpected event from P%d while crashing P%d", q, p))
 	}
+	c.status[p] = StatusCrashed
 }
 
+// readyProcs lists the ready processes in ascending order, in a buffer the
+// next call overwrites.
 func (c *Controller) readyProcs() []int {
-	var ready []int
+	c.ready = c.ready[:0]
 	for i, s := range c.status {
 		if s == StatusReady {
-			ready = append(ready, i)
+			c.ready = append(c.ready, i)
 		}
 	}
-	return ready
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	return c.ready
 }
 
 // StepCounts returns a copy of the per-process granted-step counts.
@@ -348,11 +404,30 @@ func (c *Controller) StatusOf(p int) Status { return c.status[p] }
 // Crashed reports whether process p was fail-stopped.
 func (c *Controller) Crashed(p int) bool { return c.status[p] == StatusCrashed }
 
-// Trace returns a copy of the granted-process sequence — the schedule
-// actually executed. Two runs with the same adversary state, crash vector,
-// and deterministic bodies produce identical traces; tests assert this.
+// Trace returns the granted-process sequence — the schedule actually
+// executed. Two runs with the same adversary state, crash vector, and
+// deterministic bodies produce identical traces; tests assert this.
 func (c *Controller) Trace() []int {
-	return append([]int(nil), c.trace...)
+	return c.TracePrefix(c.total)
+}
+
+// TracePrefix returns the first k entries of Trace (all of it when k is
+// larger), nil when the trace is empty.
+func (c *Controller) TracePrefix(k int) []int {
+	k = min(k, c.total)
+	if k <= 0 {
+		return nil
+	}
+	out := make([]int, 0, k)
+	for _, r := range c.trace {
+		for range min(r.n, k-len(out)) {
+			out = append(out, r.proc)
+		}
+		if len(out) == k {
+			break
+		}
+	}
+	return out
 }
 
 // BudgetError reports a schedule that exhausted its step budget: under the

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -246,5 +247,207 @@ func TestGroupLiveModeRunsPlainGoroutines(t *testing.T) {
 	}
 	if grp.Controller() != nil {
 		t.Fatal("live group reports a controller")
+	}
+}
+
+// pickCall is one Adversary.Pick call: its arguments, copied.
+type pickCall struct{ ready, steps []int }
+
+// recorder wraps an adversary and records every Pick call. The controller
+// reuses its ready buffer between decisions, so the arguments are copied.
+type recorder struct {
+	Adversary
+	calls []pickCall
+}
+
+func (r *recorder) Pick(ready, steps []int) int {
+	r.calls = append(r.calls, pickCall{slices.Clone(ready), slices.Clone(steps)})
+	return r.Adversary.Pick(ready, steps)
+}
+
+func TestPickOncePerDecision(t *testing.T) {
+	call := func(ready, steps []int) pickCall { return pickCall{ready, steps} }
+	cases := []struct {
+		name     string
+		adv      Adversary
+		crashAt  []int
+		procs    int
+		points   int
+		maxSteps int
+		calls    []pickCall
+		trace    []int
+		starved  []int // nil = Wait returns nil
+	}{
+		{"round-robin", NewRoundRobin(), nil, 2, 1, 0, []pickCall{
+			call([]int{0, 1}, []int{0, 0}),
+			call([]int{0, 1}, []int{1, 0}),
+			call([]int{0, 1}, []int{1, 1}),
+			call([]int{1}, []int{2, 1}),
+		}, []int{0, 1, 0, 1}, nil},
+		// The laggard keeps the token holder running: decisions 2, 3, 5 and
+		// 6 are taken inline by the process that keeps running.
+		{"laggard", Laggard{}, nil, 2, 2, 0, []pickCall{
+			call([]int{0, 1}, []int{0, 0}),
+			call([]int{0, 1}, []int{1, 0}),
+			call([]int{0, 1}, []int{2, 0}),
+			call([]int{1}, []int{3, 0}),
+			call([]int{1}, []int{3, 1}),
+			call([]int{1}, []int{3, 2}),
+		}, []int{0, 0, 0, 1, 1, 1}, nil},
+		// P0 kills P1 on the decision that picks it at its crash step: a
+		// Pick with no grant.
+		{"crash-other", NewRoundRobin(), []int{-1, 1}, 2, 2, 0, []pickCall{
+			call([]int{0, 1}, []int{0, 0}),
+			call([]int{0, 1}, []int{1, 0}),
+			call([]int{0, 1}, []int{1, 1}),
+			call([]int{0, 1}, []int{2, 1}),
+			call([]int{0}, []int{2, 1}),
+		}, []int{0, 1, 0, 0}, nil},
+		// P0 picks itself at its crash step, unwinds, and hands on.
+		{"crash-self", Laggard{}, []int{2, -1}, 2, 2, 0, []pickCall{
+			call([]int{0, 1}, []int{0, 0}),
+			call([]int{0, 1}, []int{1, 0}),
+			call([]int{0, 1}, []int{2, 0}),
+			call([]int{1}, []int{2, 0}),
+			call([]int{1}, []int{2, 1}),
+			call([]int{1}, []int{2, 2}),
+		}, []int{0, 0, 1, 1, 1}, nil},
+		// The budget trips with the holder in the ready set: no Pick.
+		{"budget", Laggard{}, nil, 2, 5, 4, []pickCall{
+			call([]int{0, 1}, []int{0, 0}),
+			call([]int{0, 1}, []int{1, 0}),
+			call([]int{0, 1}, []int{2, 0}),
+			call([]int{0, 1}, []int{3, 0}),
+		}, []int{0, 0, 0, 0}, []int{0, 1}},
+		// The holder P1 sits between the other starved processes: P0 is
+		// killed before P1 unwinds, P2 after.
+		{"budget-middle", NewSolo(1), nil, 3, 5, 3, []pickCall{
+			call([]int{0, 1, 2}, []int{0, 0, 0}),
+			call([]int{0, 1, 2}, []int{0, 1, 0}),
+			call([]int{0, 1, 2}, []int{0, 2, 0}),
+		}, []int{1, 1, 1}, []int{0, 1, 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &recorder{Adversary: tc.adv}
+			ctl, _, err := runCounter(rec, tc.crashAt, tc.procs, tc.points, tc.maxSteps)
+			if !reflect.DeepEqual(rec.calls, tc.calls) {
+				t.Errorf("Pick calls = %v, want %v", rec.calls, tc.calls)
+			}
+			if got := ctl.Trace(); !reflect.DeepEqual(got, tc.trace) {
+				t.Errorf("trace = %v, want %v", got, tc.trace)
+			}
+			var be *BudgetError
+			switch {
+			case tc.starved == nil && err != nil:
+				t.Errorf("Wait = %v, want nil", err)
+			case tc.starved != nil && !errors.As(err, &be):
+				t.Errorf("Wait = %v, want *BudgetError", err)
+			case tc.starved != nil && !reflect.DeepEqual(be.Starved, tc.starved):
+				t.Errorf("Starved = %v, want %v", be.Starved, tc.starved)
+			}
+			for _, p := range tc.starved {
+				if !ctl.Crashed(p) {
+					t.Errorf("P%d status = %v, want crashed", p, ctl.StatusOf(p))
+				}
+			}
+		})
+	}
+}
+
+// TestBudgetStarvedOwnsItsSlice: the ready set the controller hands the
+// adversary is a reused buffer; the BudgetError must not alias it.
+func TestBudgetStarvedOwnsItsSlice(t *testing.T) {
+	ctl, _, err := runCounter(NewSolo(1), nil, 3, 5, 3)
+	var be *BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("Wait = %v, want *BudgetError", err)
+	}
+	if cap(ctl.ready) > 0 && &be.Starved[0] == &ctl.ready[:1][0] {
+		t.Fatal("Starved shares its backing array with the ready buffer")
+	}
+	// Later decisions rewrote the buffer (P2 alone was ready after P1
+	// unwound); Starved must still be the set at exhaustion.
+	if !reflect.DeepEqual(be.Starved, []int{0, 1, 2}) {
+		t.Fatalf("Starved = %v, want [0 1 2]", be.Starved)
+	}
+}
+
+// TestSameProcessStepsDoNotAllocate: a schedule that keeps one process
+// running costs no allocation per step — the ready set is a reused buffer
+// and the trace is run-length encoded — so the laggard counter allocates
+// as much over 10000 steps per process as over 100.
+func TestSameProcessStepsDoNotAllocate(t *testing.T) {
+	allocs := func(points int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := runCounter(Laggard{}, nil, 2, points, -1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(100), allocs(10000)
+	if long > short {
+		t.Fatalf("10000 steps per process: %.0f allocs, 100 steps: %.0f; want no growth", long, short)
+	}
+}
+
+func TestTraceRunLengthRoundTrip(t *testing.T) {
+	ctl, _, err := runCounter(Laggard{}, nil, 3, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 0, 0, 1, 1, 1, 2, 2, 2}
+	if got := ctl.Trace(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace = %v, want %v", got, want)
+	}
+	for k := 0; k <= len(want)+1; k++ {
+		got := ctl.TracePrefix(k)
+		wantK := want[:min(k, len(want))]
+		if k == 0 {
+			wantK = nil
+		}
+		if !reflect.DeepEqual(got, wantK) {
+			t.Fatalf("TracePrefix(%d) = %v, want %v", k, got, wantK)
+		}
+	}
+	// Crashing every process before its first step leaves no trace: nil,
+	// so a response built from it encodes trace_prefix as null.
+	ctl, _, err = runCounter(NewRoundRobin(), []int{0, 0}, 2, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ctl.TracePrefix(48); got != nil {
+		t.Fatalf("empty schedule: TracePrefix = %#v, want nil", got)
+	}
+}
+
+// badPick picks a process outside the ready set at its after-th decision.
+type badPick struct {
+	RoundRobin
+	after, n int
+}
+
+func (b *badPick) Pick(ready, steps []int) int {
+	if b.n++; b.n > b.after {
+		return 99
+	}
+	return b.RoundRobin.Pick(ready, steps)
+}
+
+// TestAdversaryOutsideReadySetPanics: a broken adversary panics on Wait's
+// goroutine with the ready set in the message, whether the bad decision is
+// the first (taken by Wait) or a later one (taken by a process).
+func TestAdversaryOutsideReadySetPanics(t *testing.T) {
+	for _, after := range []int{0, 3} {
+		func() {
+			adv := &badPick{RoundRobin: RoundRobin{last: -1}, after: after}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "sched: adversary round-robin picked 99, not in ready set [0 1]") {
+					t.Errorf("after %d good picks: panic %q, want the out-of-ready-set message", after, msg)
+				}
+			}()
+			runCounter(adv, nil, 2, 5, 0)
+		}()
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"waitfree/internal/engine"
 	"waitfree/internal/netfault"
 	"waitfree/internal/obs"
+	"waitfree/internal/sched"
 	"waitfree/internal/solver"
 )
 
@@ -703,8 +704,9 @@ func parseAdversary(q url.Values) (engine.AdversaryRequest, error) {
 		return req, err
 	}
 	req.Seed = int64(seed)
-	// maxsteps < 0 is meaningful (= unlimited budget, mirroring the CLI).
-	if req.MaxSteps, err = intParam(q, "maxsteps", 0, math.MinInt, math.MaxInt); err != nil {
+	// The CLI's maxsteps < 0 (unlimited budget) is not offered over HTTP: a
+	// request must not start a replay that never returns.
+	if req.MaxSteps, err = intParam(q, "maxsteps", 0, 0, sched.DefaultMaxSteps); err != nil {
 		return req, err
 	}
 	if cs := q.Get("crash"); cs != "" {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"waitfree/internal/engine"
+	"waitfree/internal/sched"
 )
 
 func newTestServer(t *testing.T, eo engine.Options, so Options) (*Server, *httptest.Server) {
@@ -90,6 +91,25 @@ func TestEndpointErrors(t *testing.T) {
 		if err := json.Unmarshal(body, &m); err != nil || m["error"] == "" {
 			t.Errorf("%s: error body not JSON: %s", path, body)
 		}
+	}
+}
+
+// TestAdversaryStepBudgetBounds: over HTTP a replay's step budget must lie
+// in [0, sched.DefaultMaxSteps]. A negative budget means unlimited to the
+// CLI; served, a starving schedule would never return and its goroutine
+// would outlive the request.
+func TestAdversaryStepBudgetBounds(t *testing.T) {
+	_, ts := newTestServer(t, engine.Options{}, Options{})
+	for _, maxSteps := range []int{-1, sched.DefaultMaxSteps + 1} {
+		path := fmt.Sprintf("/v1/adversary?algo=setconsensus&adversary=laggard&procs=3&maxsteps=%d", maxSteps)
+		code, body := get(t, ts.URL+path)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "maxsteps") {
+			t.Errorf("%s: got %d (%s), want 400 naming maxsteps", path, code, body)
+		}
+	}
+	path := fmt.Sprintf("/v1/adversary?algo=commitadopt&adversary=round-robin&procs=3&maxsteps=%d", sched.DefaultMaxSteps)
+	if code, body := get(t, ts.URL+path); code != http.StatusOK {
+		t.Errorf("%s: got %d (%s), want 200", path, code, body)
 	}
 }
 
