@@ -14,7 +14,9 @@
 // Both files may be either `go test -json` event streams or plain bench
 // output. Benchmarks present in the current run but missing from the
 // baseline are reported and skipped, so adding a benchmark never breaks CI;
-// refreshing the committed baseline is what arms the gate for it.
+// refreshing the committed baseline is what arms the gate for it. A
+// baseline benchmark missing from the current run is reported as MISSING
+// and fails: renaming or deleting a benchmark must not disarm its gate.
 package main
 
 import (
@@ -200,6 +202,17 @@ func run(baselinePath, currentPath string, threshold float64, stdout *strings.Bu
 			}
 			fmt.Fprintln(stdout)
 		}
+	}
+	var missing []string
+	for name := range baseline {
+		if _, ok := current[name]; !ok {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		failed = true
+		fmt.Fprintf(stdout, "MISSING %s: in the baseline but not in the current run (drop its baseline line only with the benchmark)\n", name)
 	}
 	return failed, nil
 }

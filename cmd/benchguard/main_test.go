@@ -48,12 +48,12 @@ func TestParseEventStreamReassemblesSplitLines(t *testing.T) {
 }
 
 func TestParsePlainBenchOutput(t *testing.T) {
-	plain := "goos: linux\npkg: waitfree/internal/topology\nBenchmarkSDSPowParallel-8   \t10\t1745105 ns/op\t772588 B/op\t3919 allocs/op\n"
+	plain := "goos: linux\npkg: waitfree/internal/topology\nBenchmarkSDSPowSequential-8   \t10\t1745105 ns/op\t772588 B/op\t3919 allocs/op\n"
 	got, err := parseFile(write(t, "plain.txt", plain))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := got["waitfree/internal/topology:BenchmarkSDSPowParallel"]
+	r, ok := got["waitfree/internal/topology:BenchmarkSDSPowSequential"]
 	if !ok || r.AllocsPerOp != 3919 {
 		t.Fatalf("plain parse wrong: %+v (ok=%v)", r, ok)
 	}
@@ -164,6 +164,27 @@ func TestMissingBaselineBenchmarkIsSkipped(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "SKIP p:BenchmarkNew") {
 		t.Fatalf("missing-baseline skip not reported:\n%s", out.String())
+	}
+}
+
+// TestBaselineBenchmarkMissingFromCurrentFails pins that a renamed or
+// deleted benchmark cannot disarm its own gate by vanishing from the run.
+func TestBaselineBenchmarkMissingFromCurrentFails(t *testing.T) {
+	base := write(t, "base.txt", "pkg: p\nBenchmarkX-4 10 1000 ns/op\nBenchmarkGone-4 10 1000 ns/op\n")
+	cur := write(t, "cur.txt", "pkg: p\nBenchmarkX-4 10 1000 ns/op\n")
+	var out strings.Builder
+	failed, err := run(base, cur, 0.10, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !failed {
+		t.Fatalf("baseline benchmark absent from the current run passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "MISSING p:BenchmarkGone") {
+		t.Fatalf("missing benchmark not reported:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "MISSING p:BenchmarkX") {
+		t.Fatalf("benchmark present in both runs reported missing:\n%s", out.String())
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -137,11 +138,18 @@ func TestCacheKeyDiscipline(t *testing.T) {
 	if hashString(topology.SDS(s1).CanonicalString()) == hashString(topology.SDSPow(s1, 2).CanonicalString()) {
 		t.Fatal("different subdivision levels must hash apart")
 	}
-	// The parallel subdivision is canonically identical, hence content-
-	// addresses to the same artifact.
-	if hashString(topology.SDSPow(topology.Simplex(2), 2).CanonicalString()) !=
-		hashString(topology.SDSPowParallel(topology.Simplex(2), 2, 4).CanonicalString()) {
-		t.Fatal("parallel and sequential SDS must share a content address")
+	// The engine's level-by-level chain (SDSCtx, as modelLevel builds it)
+	// content-addresses to the same artifact as SDSPow.
+	lvl1, err := topology.SDSCtx(context.Background(), topology.Simplex(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lvl2, err := topology.SDSCtx(context.Background(), lvl1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hashString(topology.SDSPow(topology.Simplex(2), 2).CanonicalString()) != hashString(lvl2.CanonicalString()) {
+		t.Fatal("the SDSCtx chain and SDSPow must share a content address")
 	}
 
 	if (SolveRequest{Spec: a, MaxLevel: 1}).Key() == (SolveRequest{Spec: a, MaxLevel: 2}).Key() {

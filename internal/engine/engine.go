@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -38,8 +37,6 @@ type Options struct {
 	// The chaos soak (and the dev-only -faultseed flag) pass a seeded
 	// faultfs.Faulty here to run the storage adversary against a live engine.
 	SpillFS faultfs.FS
-	// Workers bounds subdivision/solver parallelism; 0 = runtime.NumCPU().
-	Workers int
 	// MaxNodes is the default per-level solver budget for requests that do
 	// not set one; 0 = DefaultMaxNodes.
 	MaxNodes int64
@@ -51,22 +48,22 @@ type Options struct {
 // store for reuse across queries.
 //
 // Every query method takes a context and honors it end-to-end: the solver's
-// backtracking loop, the parallel subdivision, and the converge search all
+// backtracking loop, the subdivision, and the converge search all
 // checkpoint cooperatively, so a canceled or timed-out caller stops burning
 // CPU within one checkpoint interval. Cancellation surfaces as ErrCanceled;
 // abandoned partial work is never cached as a verdict.
 type Engine struct {
 	cache    *Cache
 	flights  flightGroup
-	workers  int
 	maxNodes int64
 	metrics  *Metrics
 	// facts memoises, per normalized valid TaskSpec, the specFacts a solve
 	// needs before it knows whether it will compute (query.go).
 	facts sync.Map
 	// peerFill, when set (SetPeerFiller, cluster mode), is consulted on a
-	// cache miss before computing: a non-owned key may already be answered
-	// byte-identically in the owning peer's cache.
+	// cache miss before computing (inside the flight, doInner) and by the
+	// serving layer's route probe (TryPeerFill): a non-owned key may already
+	// be answered byte-identically in the owning peer's cache.
 	peerFill PeerFiller
 }
 
@@ -75,12 +72,8 @@ func New(o Options) *Engine {
 	m := NewMetrics()
 	e := &Engine{
 		cache:    NewCache(o.CacheSize, o.SpillDir, o.SpillMaxBytes, o.SpillFS, m),
-		workers:  o.Workers,
 		maxNodes: o.MaxNodes,
 		metrics:  m,
-	}
-	if e.workers <= 0 {
-		e.workers = runtime.NumCPU()
 	}
 	if e.maxNodes == 0 {
 		e.maxNodes = DefaultMaxNodes
@@ -240,7 +233,7 @@ func boolInt(b bool) int64 {
 }
 
 // sdsLevel returns SDS^b(base) through the content-addressed store,
-// building missing levels one parallel subdivision at a time on top of the
+// building missing levels one subdivision at a time on top of the
 // deepest cached level. baseHash is hash(base.CanonicalString()), so two
 // tasks over equal input complexes share the whole chain.
 func (e *Engine) sdsLevel(ctx context.Context, base *topology.Complex, baseHash string, b int) (*topology.Complex, error) {
@@ -269,7 +262,7 @@ func (e *Engine) modelLevel(ctx context.Context, base *topology.Complex, baseHas
 		if err != nil {
 			return nil, err
 		}
-		sub, err := topology.SDSParallelCtx(cctx, prev, e.workers)
+		sub, err := topology.SDSCtx(cctx, prev)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +321,7 @@ func (e *Engine) computeSolve(ctx context.Context, q *SolveQuery) (*SolveRespons
 	if maxNodes == 0 {
 		maxNodes = e.maxNodes
 	}
-	opts := solver.Options{MaxNodes: maxNodes, Workers: e.workers}
+	opts := solver.Options{MaxNodes: maxNodes}
 	if !spec.IsWaitFree() {
 		opts.Model = spec.Canonical()
 	}

@@ -3,10 +3,8 @@
 // repository-wide canonical string encodings), content-addresses every
 // derived artifact — SDS^b(I) levels, solver results, convergence maps,
 // adversary replays — in an LRU-bounded in-memory store with optional gob
-// spill-to-disk, deduplicates identical in-flight queries singleflight-
-// style, and fans the subdivision and solver precomputation out over a
-// worker pool. N concurrent clients asking the same question cost one
-// search.
+// spill-to-disk, and deduplicates identical in-flight queries singleflight-
+// style. N concurrent clients asking the same question cost one search.
 package engine
 
 import (

@@ -8,7 +8,7 @@
 // span) out of the context and returns a child context with the new span
 // active. Every operation is nil-safe — when no trace is attached to the
 // context, StartSpan returns a nil *Span whose methods are no-ops, so
-// instrumented hot paths (the solver's search, the parallel subdivision)
+// instrumented hot paths (the solver's search, the subdivision)
 // cost two pointer-sized context lookups when tracing is off. That is what
 // keeps BenchmarkScheduledEmulation flat with the layer compiled in.
 //
@@ -27,7 +27,8 @@ import (
 )
 
 // Trace is one request's span tree. All methods are safe for concurrent
-// use: parallel workers inside a request may open sibling spans.
+// use: a request's singleflight compute runs on its own goroutine and
+// records into the starter's trace (Transplant).
 type Trace struct {
 	ID    string
 	start time.Time

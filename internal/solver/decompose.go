@@ -15,11 +15,8 @@ import (
 // component of the constraint graph over the remaining (post-collapse)
 // vertices. The level therefore splits into independent subproblems: a
 // decision map exists iff every component admits one, and the assignments
-// compose by disjoint union. Components are searched independently — fanned
-// out over the worker pool via parallelRange, the first time the search
-// itself (not just precompute) parallelizes — and each component's search
-// is sequential and deterministic, so verdicts and node counts are
-// identical at any Workers value.
+// compose by disjoint union. Components are searched one after another, and
+// the search stops at the first component that admits no map.
 
 // component is one independent subproblem: its vertices in search order and
 // the higher-dimensional (dim ≥ 2) check schedule, indexed by position in
@@ -28,13 +25,6 @@ import (
 type component struct {
 	order  []int
 	checks [][]checkItem
-}
-
-// compOutcome is one component's deterministic search result.
-type compOutcome struct {
-	solvable bool
-	nodes    int64
-	err      error
 }
 
 // components splits the remaining vertices into connected components of the
@@ -152,13 +142,13 @@ func (st *searchState) orderComponent(members []int) []int {
 }
 
 // searchComponent runs the forward-checking backtracking search on one
-// component. Assignments land in st.assign/st.assigned (component vertex
-// sets are disjoint, so parallel searches never collide); domain pruning is
+// component, returning whether it found a map and the nodes it explored.
+// Assignments land in st.assign/st.assigned (component vertex sets are
+// disjoint, so components never overwrite each other); domain pruning is
 // undone via the local trail, so on return the active masks are exactly as
 // propagation left them whether or not a map was found.
-func (st *searchState) searchComponent(ctx context.Context, c *component, maxNodes int64) compOutcome {
+func (st *searchState) searchComponent(ctx context.Context, c *component, maxNodes int64) (found bool, nodes int64, err error) {
 	var (
-		nodes   int64
 		trail   []trailEntry
 		scratch []topology.Vertex
 	)
@@ -198,7 +188,7 @@ func (st *searchState) searchComponent(ctx context.Context, c *component, maxNod
 		}
 		return false, nil
 	}
-	found, err := dfs(0)
+	found, err = dfs(0)
 	if found {
 		// Leave the solution assigned for composition; re-mark the
 		// vertices (the last dfs frames cleared flags on unwind only when
@@ -212,39 +202,27 @@ func (st *searchState) searchComponent(ctx context.Context, c *component, maxNod
 	// restore phase reads eliminated vertices' domains, which forward
 	// checking never touched, but keeping the invariant tight is cheap).
 	st.undo(&trail, 0)
-	return compOutcome{solvable: found, nodes: nodes, err: err}
+	return found, nodes, err
 }
 
-// searchComponents searches every component (in parallel when Workers > 1)
-// and composes the outcome deterministically: the reported node count sums
-// component counts in component order up to and including the first
-// component that failed or errored — exactly what a sequential
-// short-circuiting search would have reported — so node counts are
-// reproducible run-to-run regardless of scheduling.
-func (st *searchState) searchComponents(ctx context.Context, comps []*component, maxNodes int64, workers int) (solvable bool, nodes int64, compNodes []int64, err error) {
-	outcomes := make([]compOutcome, len(comps))
-	parallelRange(len(comps), workers, func(i int) {
-		outcomes[i] = st.searchComponent(ctx, comps[i], maxNodes)
-	})
+// searchComponents searches the components in order and stops at the first
+// one that fails or errors: the reported node count sums component counts
+// up to and including it.
+func (st *searchState) searchComponents(ctx context.Context, comps []*component, maxNodes int64) (solvable bool, nodes int64, compNodes []int64, err error) {
 	solvable = true
-	stop := len(comps) - 1
-	for i, o := range outcomes {
-		if o.err != nil || !o.solvable {
-			stop = i
-			solvable = false
-			err = o.err
+	for _, c := range comps {
+		found, n, cerr := st.searchComponent(ctx, c, maxNodes)
+		compNodes = append(compNodes, n)
+		nodes += n
+		if cerr != nil || !found {
+			solvable, err = false, cerr
 			break
 		}
 	}
-	var total int64
-	for i := 0; i <= stop; i++ {
-		compNodes = append(compNodes, outcomes[i].nodes)
-		total += outcomes[i].nodes
-	}
-	if err == nil && total > maxNodes {
+	if err == nil && nodes > maxNodes {
 		err = ErrBudget
 	}
-	return solvable, total, compNodes, err
+	return solvable, nodes, compNodes, err
 }
 
 // solveStructured is the structured engine's driver: propagate, collapse,
@@ -305,7 +283,7 @@ func solveStructuredOnce(ctx context.Context, task *tasks.Task, sub *topology.Co
 	comps := st.components(remaining)
 	res.Stats.Components = len(comps)
 
-	solvable, nodes, compNodes, err := st.searchComponents(ctx, comps, maxNodes, opts.Workers)
+	solvable, nodes, compNodes, err := st.searchComponents(ctx, comps, maxNodes)
 	res.Nodes = nodes
 	res.Stats.ComponentNodes = compNodes
 	if err != nil {

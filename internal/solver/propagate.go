@@ -219,10 +219,9 @@ func (st *searchState) buildAdjacency(remaining []bool) {
 
 // forwardCheck prunes the domains of v's unassigned neighbors down to
 // values supported by the assignment vals[v][iv], recording every
-// deactivation on the caller's trail (per-component, so parallel component
-// searches never share undo state — they only ever touch their own
-// component's vertices). Returns the trail mark to undo to and whether all
-// neighbor domains stayed non-empty.
+// deactivation on the caller's trail (one trail per component: a search only
+// ever touches its own component's vertices). Returns the trail mark to undo
+// to and whether all neighbor domains stayed non-empty.
 func (st *searchState) forwardCheck(v, iv int, trail *[]trailEntry) (mark int, ok bool) {
 	mark = len(*trail)
 	for _, nr := range st.adj[v] {

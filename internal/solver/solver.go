@@ -14,8 +14,8 @@
 // Two search engines share the level: EngineStructured (the default)
 // prunes with structure — an AC-3 arc-consistency pass over the
 // 1-skeleton, dominated-vertex collapse preprocessing à la
-// Benavides–Rajsbaum, independent search per connected component fanned
-// out over the worker pool, and forward checking inside the backtracking —
+// Benavides–Rajsbaum, independent search per connected component, and
+// forward checking inside the backtracking —
 // while EngineExhaustive is the original plain backtracking search, kept
 // in-tree as the differential oracle (differential_test.go requires
 // identical verdicts and structured node counts ≤ exhaustive ones).
@@ -25,12 +25,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"waitfree/internal/obs"
 	"waitfree/internal/tasks"
@@ -74,8 +71,7 @@ type EngineKind int
 const (
 	// EngineStructured is the default: AC-3 arc consistency over the
 	// 1-skeleton, dominated-vertex collapse preprocessing, per-component
-	// decomposition with parallel fan-out, and forward checking inside the
-	// backtracking. Verdicts are identical to EngineExhaustive; node counts
+	// decomposition, and forward checking inside the backtracking. Verdicts are identical to EngineExhaustive; node counts
 	// are typically far lower.
 	EngineStructured EngineKind = iota
 	// EngineExhaustive is the original plain backtracking search, kept as
@@ -95,20 +91,6 @@ type Options struct {
 	// OrderDFS). The structured engine always orders by current domain
 	// size within each component.
 	Order Order
-
-	// Workers bounds the parallelism of the per-component search fan-out
-	// under EngineStructured, of the exhaustive engine's per-simplex
-	// carrier precomputation, and (in SolveUpTo) of the subdivision
-	// between levels: 0 means runtime.NumCPU(), 1 forces the sequential
-	// path. The structured engine's per-level set-up is sequential: it
-	// works per (color, carrier) class, a few dozen per level. Verdicts
-	// and node counts are identical at any Workers value: each
-	// component's search is sequential and deterministic, and the
-	// reported node count is assembled in component order. Workers > 1
-	// requires task.Allowed to be safe for concurrent calls — true of
-	// every task in this repository, whose Allowed closures only read
-	// immutable tables.
-	Workers int
 
 	// Engine selects the search engine (default EngineStructured).
 	Engine EngineKind
@@ -265,9 +247,8 @@ func solveExhaustive(ctx context.Context, task *tasks.Task, sub *topology.Comple
 
 	// For each simplex, the position at which its last vertex is assigned;
 	// checks[p] lists simplices fully assigned exactly when position p is.
-	// Carriers are precomputed (in parallel — the dominant cost of this
-	// phase): they are looked up once per search node.
-	flat, carriers := flatSimplices(sub, opts.Workers)
+	// Carriers are precomputed: they are looked up once per search node.
+	flat, carriers := flatSimplices(sub)
 	checks := make([][]checkItem, nv)
 	for i, s := range flat {
 		last := 0
@@ -322,18 +303,17 @@ func solveExhaustive(ctx context.Context, task *tasks.Task, sub *topology.Comple
 	return nil
 }
 
-// flatSimplices enumerates every simplex of sub with its carrier, carriers
-// computed on the worker pool (the dominant cost of precompute).
-func flatSimplices(sub *topology.Complex, workers int) ([][]topology.Vertex, [][]topology.Vertex) {
+// flatSimplices enumerates every simplex of sub with its carrier.
+func flatSimplices(sub *topology.Complex) ([][]topology.Vertex, [][]topology.Vertex) {
 	all := sub.AllSimplices()
 	var flat [][]topology.Vertex
 	for _, byDim := range all {
 		flat = append(flat, byDim...)
 	}
 	carriers := make([][]topology.Vertex, len(flat))
-	parallelRange(len(flat), workers, func(i int) {
-		carriers[i] = sub.CarrierOfSimplex(flat[i])
-	})
+	for i, s := range flat {
+		carriers[i] = sub.CarrierOfSimplex(s)
+	}
 	return flat, carriers
 }
 
@@ -512,21 +492,21 @@ func SolveUpTo(task *tasks.Task, maxLevel int, opts Options) (*Result, error) {
 // subdivide is the between-levels subdivision step, a variable so tests can
 // inject non-cancellation failures (SolveUpToCtx must not misreport those
 // as client disconnects; see the ErrCanceled wrapping below).
-var subdivide = topology.SDSParallelCtx
+var subdivide = topology.SDSCtx
 
 // SolveUpToCtx is SolveUpTo honoring ctx: both the per-level search and the
 // subdivision step between levels stop cooperatively when the caller goes
 // away, returning ErrCanceled.
 //
 // The subdivision chain is built incrementally — level b's SDS^b(I) is one
-// (parallel) subdivision of level b−1's complex, not a recomputation from
+// subdivision of level b−1's complex, not a recomputation from
 // scratch — so the total subdivision cost is that of the last level alone.
 func SolveUpToCtx(ctx context.Context, task *tasks.Task, maxLevel int, opts Options) (*Result, error) {
 	var last *Result
 	sub := task.Inputs
 	for b := 0; b <= maxLevel; b++ {
 		if b > 0 {
-			next, err := subdivide(ctx, sub, opts.Workers)
+			next, err := subdivide(ctx, sub)
 			if err != nil {
 				// Only a subdivision failure caused by the caller going away
 				// is a cancellation; anything else (a genuine construction
@@ -558,40 +538,6 @@ func SolveUpToCtx(ctx context.Context, task *tasks.Task, maxLevel int, opts Opti
 		last = res
 	}
 	return last, nil
-}
-
-// parallelRange runs fn(i) for i in [0, n) on a worker pool of the given
-// size (0 = runtime.NumCPU(), 1 = inline). fn must only write state owned
-// by index i.
-func parallelRange(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // VerifyDecisionMap independently re-checks a claimed decision map against

@@ -19,10 +19,10 @@ import (
 // (500). A poisoned subdivision step under a live context must surface as
 // itself; under a dead context it must still read as cancellation.
 func TestSubdivisionErrorNotMisclassified(t *testing.T) {
-	defer func() { subdivide = topology.SDSParallelCtx }()
+	defer func() { subdivide = topology.SDSCtx }()
 
 	boom := errors.New("subdivision exploded")
-	subdivide = func(ctx context.Context, c *topology.Complex, workers int) (*topology.Complex, error) {
+	subdivide = func(ctx context.Context, c *topology.Complex) (*topology.Complex, error) {
 		return nil, boom
 	}
 
@@ -45,7 +45,7 @@ func TestSubdivisionErrorNotMisclassified(t *testing.T) {
 	// Dead context: a subdivision aborted because the caller went away is a
 	// cancellation, exactly as before the fix.
 	ctx, cancel := context.WithCancel(context.Background())
-	subdivide = func(sctx context.Context, c *topology.Complex, workers int) (*topology.Complex, error) {
+	subdivide = func(sctx context.Context, c *topology.Complex) (*topology.Complex, error) {
 		cancel()
 		return nil, sctx.Err()
 	}
@@ -306,43 +306,6 @@ func TestCollapseFiresAndRestores(t *testing.T) {
 		}
 		if alt.Solvable != res.Solvable {
 			t.Errorf("verdict disagreement with opts %+v", opts)
-		}
-	}
-}
-
-// TestStructuredDeterministicAcrossWorkers pins the determinism contract in
-// Options.Workers' doc: verdicts, node counts, and per-component node
-// counts are identical at any parallelism, because each component's search
-// is sequential and the totals are assembled in component order.
-func TestStructuredDeterministicAcrossWorkers(t *testing.T) {
-	cases := []struct {
-		task *tasks.Task
-		b    int
-	}{
-		{tasks.SetConsensus(3, 2), 1},
-		{tasks.ApproxAgreement(4), 2},
-		{tasks.Consensus(3), 1},
-	}
-	ctx := context.Background()
-	for _, tc := range cases {
-		sub := topology.SDSPow(tc.task.Inputs, tc.b)
-		base, err := SolveAtLevelOn(ctx, tc.task, tc.b, sub, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 8} {
-			got, err := SolveAtLevelOn(ctx, tc.task, tc.b, sub, Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Solvable != base.Solvable || got.Nodes != base.Nodes {
-				t.Errorf("%s/b=%d workers=%d: (%v, %d nodes) differs from workers=1 (%v, %d nodes)",
-					tc.task.Name, tc.b, workers, got.Solvable, got.Nodes, base.Solvable, base.Nodes)
-			}
-			if fmt.Sprint(got.Stats.ComponentNodes) != fmt.Sprint(base.Stats.ComponentNodes) {
-				t.Errorf("%s/b=%d workers=%d: component nodes %v differ from %v",
-					tc.task.Name, tc.b, workers, got.Stats.ComponentNodes, base.Stats.ComponentNodes)
-			}
 		}
 	}
 }

@@ -4,7 +4,7 @@ import "testing"
 
 // Allocation budgets for the subdivision hot path. The arena representation
 // exists to keep SDS construction off the allocator: a facet's worth of
-// work reuses the worker's versioned intern tables and appends into shared
+// work reuses the builder's versioned intern tables and appends into shared
 // arenas, and no vertex-key strings materialize. Measured on go1.24:
 // SDS(s²) ≈ 99 allocs, SDSPow(s², 3) ≈ 3,915 allocs (the legacy string-
 // keyed path cost ~367,000 for the latter — a ~94× reduction). The ceilings

@@ -189,13 +189,13 @@ func (r *sdsFacetOut) reset() {
 	r.fOff = r.fOff[:1]
 }
 
-// sdsWorkerState is the per-worker scratch of the SDS builder. Local
-// vertices of a facet of size k are interned positionally: vertex (u, S)
-// with u = t[pos] and S the prefix set with bit mask m occupies slot
-// m·k + pos of a version-stamped dense table, so interning is two array
-// reads and no hashing. The tables persist across facets (and merge
-// batches) — the version stamp makes stale entries invisible.
-type sdsWorkerState struct {
+// sdsFacetBuilder is the scratch of the SDS builder. Local vertices of a
+// facet of size k are interned positionally: vertex (u, S) with u = t[pos]
+// and S the prefix set with bit mask m occupies slot m·k + pos of a
+// version-stamped dense table, so interning is two array reads and no
+// hashing. The tables persist across facets — the version stamp makes
+// stale entries invisible.
+type sdsFacetBuilder struct {
 	version   int32
 	vertStamp []int32 // slot (mask·k + pos) → version of last write
 	vertID    []int32 // slot → local vertex index
@@ -208,7 +208,7 @@ type sdsWorkerState struct {
 // recording vertices in the exact order the sequential string-keyed
 // construction would first encounter them (facet order is the ordered-
 // partition enumeration order of ForEachOrderedPartition).
-func (w *sdsWorkerState) subdivide(c *Complex, t []Vertex, r *sdsFacetOut) {
+func (w *sdsFacetBuilder) subdivide(c *Complex, t []Vertex, r *sdsFacetOut) {
 	k := len(t)
 	if k > 30 {
 		panic("topology: SDS of a facet with more than 31 vertices")
@@ -229,7 +229,7 @@ func (w *sdsWorkerState) subdivide(c *Complex, t []Vertex, r *sdsFacetOut) {
 	w.rec(c, t, r, uint32(1<<k)-1, 0, k)
 }
 
-func (w *sdsWorkerState) rec(c *Complex, t []Vertex, r *sdsFacetOut, remaining, prefixMask uint32, k int) {
+func (w *sdsFacetBuilder) rec(c *Complex, t []Vertex, r *sdsFacetOut, remaining, prefixMask uint32, k int) {
 	if remaining == 0 {
 		r.fData = append(r.fData, w.facetBuf...)
 		r.fOff = append(r.fOff, int32(len(r.fData)))
@@ -262,7 +262,7 @@ func (w *sdsWorkerState) rec(c *Complex, t []Vertex, r *sdsFacetOut, remaining, 
 	}
 }
 
-func (w *sdsWorkerState) internFace(t []Vertex, r *sdsFacetOut, mask uint32, k int) int32 {
+func (w *sdsFacetBuilder) internFace(t []Vertex, r *sdsFacetOut, mask uint32, k int) int32 {
 	if w.faceStamp[mask] == w.version {
 		return w.faceID[mask]
 	}
@@ -278,11 +278,11 @@ func (w *sdsWorkerState) internFace(t []Vertex, r *sdsFacetOut, mask uint32, k i
 
 // sdsMerger folds per-facet subdivision outputs, in source facet order,
 // into one arena complex. The global face and vertex intern tables persist
-// across all merge batches, so shared faces glue by integer identity: the
+// across all source facets, so shared faces glue by integer identity: the
 // face table is keyed by packed vertex content, vertices by the 64-bit pair
 // (global face, u). Absorbing results in facet order reproduces the exact
-// first-occurrence vertex order of the sequential construction for any
-// worker count.
+// first-occurrence vertex order of the historical string-keyed
+// construction.
 type sdsMerger struct {
 	c    *Complex // source (Prev)
 	out  *Complex

@@ -1,9 +1,12 @@
 package topology
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
+
+	"waitfree/internal/obs"
 )
 
 // SDS returns the standard chromatic subdivision of the sealed chromatic
@@ -46,15 +49,63 @@ type SDSLevel struct {
 // historical string-keyed construction; string keys materialize lazily on
 // first use (see arena.go).
 func SDSStructured(c *Complex) *SDSLevel {
+	// Background cannot be canceled, so the error path is unreachable.
+	lvl, _ := sdsStructured(context.Background(), c)
+	return lvl
+}
+
+// SDSCtx is SDS honoring ctx: the construction checks for cancellation
+// every ctxCheckInterval source facets and abandons the build, returning an
+// error wrapping ctx.Err(). On success the result is identical to SDS(c).
+func SDSCtx(ctx context.Context, c *Complex) (*Complex, error) {
+	lvl, err := sdsStructured(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	return lvl.Complex, nil
+}
+
+// SDSParallelCtx is SDSCtx; the worker count is ignored.
+//
+// Deprecated: use SDSCtx. perfbench/queries.go is the only caller; the next
+// change to the benchmark switches it to SDSCtx and deletes this alias.
+func SDSParallelCtx(ctx context.Context, c *Complex, _ int) (*Complex, error) { return SDSCtx(ctx, c) }
+
+// ctxCheckInterval is the cadence, in source facets, of SDSCtx's
+// cancellation checkpoint.
+const ctxCheckInterval = 64
+
+func sdsStructured(ctx context.Context, c *Complex) (lvl *SDSLevel, err error) {
 	c.mustBeSealed("SDS")
+	facets := c.Facets()
+	// Tracing: one sds.subdivide span per level, carrying the exact facet
+	// and vertex counts of the construction (the numbers Lemma 3.3 pins
+	// down — Σ over facets of CountOrderedPartitions(|facet|) new facets).
+	// A no-op when the context carries no trace.
+	ctx, span := obs.StartSpan(ctx, "sds.subdivide")
+	span.SetInt("facets_in", int64(len(facets)))
+	defer func() {
+		if err != nil {
+			span.SetStr("error", "canceled")
+		} else {
+			span.SetInt("facets_out", int64(len(lvl.Complex.Facets())))
+			span.SetInt("vertices_out", int64(lvl.Complex.NumVertices()))
+		}
+		span.Finish()
+	}()
 	m := newSDSMerger(c)
-	var w sdsWorkerState
+	var w sdsFacetBuilder
 	var r sdsFacetOut
-	for _, t := range c.Facets() {
+	for i, t := range facets {
+		if i%ctxCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("topology: subdivision canceled: %w", err)
+			}
+		}
 		w.subdivide(c, t, &r)
 		m.absorb(&r)
 	}
-	return m.finish()
+	return m.finish(), nil
 }
 
 // SDSPow returns SDS^b(c); SDSPow(c, 0) is c itself.

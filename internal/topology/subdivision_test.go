@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -243,5 +246,111 @@ func TestBinomial(t *testing.T) {
 	}
 	if binomial(5, 2) != 10 || binomial(6, 0) != 1 || binomial(4, 5) != 0 {
 		t.Error("binomial spot checks failed")
+	}
+}
+
+// complexesIdentical asserts the two complexes are bit-identical builds:
+// same vertex table in the same order (key, color, carrier), same facet
+// lists in the same order. Stronger than Equal, which ignores numbering.
+func complexesIdentical(t *testing.T, want, got *Complex) {
+	t.Helper()
+	if want.NumVertices() != got.NumVertices() {
+		t.Fatalf("vertex count: want %d, got %d", want.NumVertices(), got.NumVertices())
+	}
+	for i := 0; i < want.NumVertices(); i++ {
+		v := Vertex(i)
+		if want.Key(v) != got.Key(v) {
+			t.Fatalf("vertex %d: key %q vs %q", i, want.Key(v), got.Key(v))
+		}
+		if want.Color(v) != got.Color(v) {
+			t.Fatalf("vertex %d: color %d vs %d", i, want.Color(v), got.Color(v))
+		}
+		wc, gc := want.Carrier(v), got.Carrier(v)
+		if fmt.Sprint(wc) != fmt.Sprint(gc) {
+			t.Fatalf("vertex %d: carrier %v vs %v", i, wc, gc)
+		}
+	}
+	wf, gf := want.Facets(), got.Facets()
+	if len(wf) != len(gf) {
+		t.Fatalf("facet count: want %d, got %d", len(wf), len(gf))
+	}
+	for i := range wf {
+		if fmt.Sprint(wf[i]) != fmt.Sprint(gf[i]) {
+			t.Fatalf("facet %d: %v vs %v", i, wf[i], gf[i])
+		}
+	}
+}
+
+func TestCountOrderedPartitionsOverflow(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("overflow boundary pinned for 64-bit int")
+	}
+	// a(18) is the last Fubini number that fits in int64.
+	got, err := CountOrderedPartitionsChecked(18)
+	if err != nil {
+		t.Fatalf("CountOrderedPartitionsChecked(18): %v", err)
+	}
+	if want := int(3385534663256845323); got != want {
+		t.Fatalf("a(18) = %d, want %d", got, want)
+	}
+	// a(19) ≈ 9.28e19 is the first overflowing n: explicit error, not a wrap.
+	if _, err := CountOrderedPartitionsChecked(19); err == nil {
+		t.Fatal("CountOrderedPartitionsChecked(19) should overflow")
+	} else if !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("overflow error should say so: %v", err)
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("CountOrderedPartitions(19) should panic on overflow")
+		}
+		if !strings.Contains(fmt.Sprint(r), "overflow") {
+			t.Fatalf("panic message should mention overflow: %v", r)
+		}
+	}()
+	CountOrderedPartitions(19)
+}
+
+func TestBinomialCheckedOverflow(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("overflow boundary pinned for 64-bit int")
+	}
+	if v, err := binomialChecked(60, 30); err != nil || v != 118264581564861424 {
+		t.Fatalf("C(60,30) = %d, %v; want 118264581564861424", v, err)
+	}
+	if _, err := binomialChecked(66, 33); err == nil {
+		t.Fatal("C(66,33) should overflow int64")
+	}
+}
+
+func TestCanonicalStringDistinguishes(t *testing.T) {
+	a := Simplex(2)
+	b := Simplex(2)
+	if a.CanonicalString() != b.CanonicalString() {
+		t.Fatal("equal complexes must have equal canonical strings")
+	}
+	if a.CanonicalString() == Simplex(1).CanonicalString() {
+		t.Fatal("different complexes must differ")
+	}
+	if SDS(a).CanonicalString() == SDSPow(a, 2).CanonicalString() {
+		t.Fatal("different subdivision levels must differ")
+	}
+}
+
+func BenchmarkSDSPowSequential(b *testing.B) {
+	base := Simplex(2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		SDSPow(base, 3)
+	}
+}
+
+// BenchmarkSDSPow33Sequential builds SDS³(s³), the 421,875-facet level of
+// the golden table: the largest subdivision the service builds.
+func BenchmarkSDSPow33Sequential(b *testing.B) {
+	base := Simplex(3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		SDSPow(base, 3)
 	}
 }
